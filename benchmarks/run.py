@@ -9,21 +9,22 @@ verdict-grid, tau-report and pfaffian-eval each op runs in a process forked
 from that child before it has run anything, so every op starts cold, as a
 command-line invocation does; the session runs its whole stream in the one
 child. Only one child is alive at a time. A run makes at least two passes
-and starts another while one more still fits in ``--seconds``; for the
-isolated workloads, the time left then goes to more samples of the
-cheapest ops.
+and starts another while one more still fits in ``--seconds``. Every op is
+short (0.15 s or less when the box is quiet), so a run samples each one a
+dozen times or more, spread over the whole run.
 
 With ``--trace 0`` the result carries the end-to-end metrics. Each op's
 latency is its fastest over the passes: on a shared 2-core box, neighbours
-slow this process by up to 2x in bursts of a few seconds, and the fastest
-of several samples is the figure least moved by them. Then
+slow this process by up to 1.5x for seconds to minutes at a time, and the
+fastest of many samples of a short op is the figure least moved by them. Then
 
 - ``wall_s``: the sum of those latencies, the time one pass takes when no
   op is slowed (it leaves out the fork before each isolated op);
 - ``op_p50_ms`` and ``op_tail_ms``: their median, and the highest order
   statistic with at least ten ops beyond it (the percentile is reported);
 - ``setup_s``: the median time from spawning an interpreter until
-  ``import grasstodd.cli`` completes, probed before and after the passes;
+  ``import grasstodd.cli`` completes, probed once before the first pass,
+  once after each pass, and at the end up to twelve probes in all;
 - ``peak_rss_mb``: the median over passes of the largest RSS of a process
   that ran ops.
 
@@ -57,7 +58,7 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT_REL = "benchmarks/out"
 DIGESTS = HERE / "digests.json"
-SETUP_PROBES = 12     # half before the passes, half after
+SETUP_PROBES = 12     # at least; one before the first pass and one after each
 MIN_PASSES = 2
 RUN_DEADLINE_S = 170.0  # a whole run ends well inside the 180 s the contract allows
 
@@ -258,7 +259,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool, *, scale
     ops = workloads.build_ops(workload, seed, ROOT, OUT_REL, scale)
     isolate = workload in workloads.ISOLATED
     env = environment(workload, seed, ops)
-    setup = measure_setup((SETUP_PROBES + 1) // 2)
+    setup = measure_setup(1)
 
     def one_pass(subset: list, traced: bool = False) -> dict:
         left = deadline - time.perf_counter()
@@ -267,40 +268,24 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool, *, scale
         done["seconds"] = time.perf_counter() - t0
         return done
 
-    full = [one_pass(ops)]
-    extra = []
+    passes = [one_pass(ops)]
+    setup += measure_setup(1)
     traced_pass = one_pass(ops, traced=True) if trace else None
     while not trace:
+        # One setup probe after each pass spreads the probes over the run.
+        cost = passes[-1]["seconds"] + statistics.median(setup)
         now = time.perf_counter()
-        cost = full[-1]["seconds"]
         left = min(start + seconds, deadline) - now
-        if (len(full) < MIN_PASSES and now + 1.5 * cost < deadline) or cost <= left:
-            full.append(one_pass(ops))
-            continue
-        if not isolate:
+        if cost > left and not (len(passes) < MIN_PASSES and now + 1.5 * cost < deadline):
             break
-        # Isolated ops are independent, so the time left buys more samples
-        # of the cheapest ones; an op costs its fastest latency plus its share
-        # of the pass overhead (child start, forks).
-        fastest = {i: min(v) for i, v in summarize(full + extra, None)["per_op"].items()}
-        overhead = (cost - sum(fastest.values())) / len(ops)
-        budget = 0.8 * left - statistics.median(setup)
-        picked = []
-        for op in sorted((op for op in ops if op["id"] in fastest), key=lambda op: fastest[op["id"]]):
-            budget -= fastest[op["id"]] + overhead
-            if budget < 0:
-                break
-            picked.append(op)
-        if not picked:
-            break
-        extra.append(one_pass(picked))
-    setup += measure_setup(SETUP_PROBES // 2)
+        passes.append(one_pass(ops))
+        setup += measure_setup(1)
+    setup += measure_setup(max(0, SETUP_PROBES - len(setup)))
 
-    passes = full + extra
     summary = summarize(passes + ([traced_pass] if trace else []), digests)
     untraced = summarize(passes, None)["per_op"]
     wall, p50, tail, pct = latency_metrics(untraced)
-    rss = [p["peak_rss_mb"] for p in full if p["peak_rss_mb"] is not None]
+    rss = [p["peak_rss_mb"] for p in passes if p["peak_rss_mb"] is not None]
     e2e = {
         "wall_s": wall,
         "op_p50_ms": p50,
@@ -308,7 +293,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool, *, scale
         "setup_s": statistics.median(setup),
         "peak_rss_mb": statistics.median(rss) if rss else None,
     }
-    env.update(passes=len(full), extra_passes=len(extra), op_tail_percentile=pct, op_tail_samples=len(untraced))
+    env.update(passes=len(passes), setup_probes=len(setup), op_tail_percentile=pct, op_tail_samples=len(untraced))
     if trace:
         traced = summarize([traced_pass], None)["per_op"]
         metrics = layer_metrics(traced_pass["counts"], wall, latency_metrics(traced)[0], ops)
@@ -354,8 +339,8 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = f"{args.workload}-s{args.seed}-t{args.trace}"
     (out_dir / f"{tag}.json").write_text(json.dumps({**res, **report}, indent=1) + "\n", encoding="utf-8")
-    print(f"# {args.workload} seed {args.seed}: {env['ops']} ops x {env['passes']} passes "
-          f"(+{env['extra_passes']} of the cheapest ops), "
+    print(f"# {args.workload} seed {args.seed}: {env['ops']} ops x {env['passes']} passes, "
+          f"{env['setup_probes']} setup probes, "
           f"python {env['python']}, nproc {env['nproc']}, {env['cpu']}")
     print(f"# ops by kind {env['ops_by_kind']}; op_tail_ms is p{env['op_tail_percentile']} "
           f"of {env['op_tail_samples']} ops; session.repeat_share {env['session.repeat_share']:.4f}")

@@ -50,7 +50,7 @@ def test_workloads_are_deterministic_in_the_seed(tmp_path):
         b = workloads.build_ops(workload, 5, tmp_path, "a", "tiny")
         assert a == b
     grid = workloads.verdict_grid(1)
-    assert len(grid) == 78 and sorted(op["id"] for op in grid) == list(range(78))
+    assert len(grid) == 66 and sorted(op["id"] for op in grid) == list(range(66))
     assert {tuple(op["argv"]) for op in grid} == {tuple(op["argv"]) for op in workloads.verdict_grid(2)}
     assert len(workloads.tau_report(1)) == 37
 
@@ -80,10 +80,10 @@ def child_processes() -> list:
 
 
 def test_hung_child_becomes_failed_ops():
-    # A pass over the full grid takes seconds, so a one-second limit stops
-    # it part-way, with an op running.
+    # A pass over the full grid takes more than a second, so a half-second
+    # limit stops it part-way, with an op running.
     t0 = time.perf_counter()
-    res = run.run_workload("verdict-grid", 1, 0, False, pass_timeout=1.0)
+    res = run.run_workload("verdict-grid", 1, 0, False, pass_timeout=0.5)
     assert time.perf_counter() - t0 < 30
     assert 0 < res["failed"] < res["attempted"]
     assert not res["correct"]

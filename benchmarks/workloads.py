@@ -51,14 +51,15 @@ def _shuffled(ops: list, rng: random.Random) -> list:
 
 
 def verdict_grid(seed: int, scale: str = "full") -> list:
-    """`roberts d n --verdict-only` on every 1 <= d < n <= 13; the seed only
+    """`roberts d n --verdict-only` on every 1 <= d < n <= 12; the seed only
     permutes the order, so every seed does the same work.
 
-    The grid stops at 13, not 14: G(6,14), G(7,14) and G(8,14) take 3-4 s
-    each cold, so a run could sample them only twice, and on a shared box
-    whose speed swings by up to 2x that left the spread above the bound.
+    The grid stops at 12: its slowest op, G(6,12), takes about 0.12 s cold,
+    so a run samples every op a dozen times or more. The middle shapes of
+    n = 13 and 14 take 0.3-4 s each; on a shared box only short ops reach a
+    steady fastest time, and with them the spread stayed above the bound.
     """
-    top = 13 if scale == "full" else 5
+    top = 12 if scale == "full" else 5
     shapes = [(d, n) for n in range(2, top + 1) for d in range(1, n)]
     ops = [
         {"id": i, "kind": "roberts-verdict",
@@ -88,7 +89,9 @@ def tau_report(seed: int, scale: str = "full") -> list:
 
 
 # Session: a pool of four shapes; the two smallest also serve `lr_coefficient`.
-SESSION_POOL = {"full": ((2, 6), (3, 7), (4, 9), (5, 11)), "tiny": ((2, 4), (2, 5), (3, 5), (3, 6))}
+# G(4,8) is the largest: its cold `bundle --todd --mod-h` takes about 0.08 s,
+# where G(5,11)'s takes 2 s, too long to reach a steady fastest time.
+SESSION_POOL = {"full": ((2, 6), (3, 7), (3, 8), (4, 8)), "tiny": ((2, 4), (2, 5), (3, 5), (3, 6))}
 SESSION_COUNTS = {
     "full": {"multiply": 160, "pieri": 40, "reduce": 40, "lr": 24},
     "tiny": {"multiply": 12, "pieri": 4, "reduce": 4, "lr": 4},
@@ -113,7 +116,7 @@ def session(seed: int, scale: str = "full") -> list:
     fills the per-shape caches the same way for every seed. The rest mixes
     three more copies of each bundle query with the seeded Chow queries;
     their repeats make the slowest warm queries (the mod-h reductions on
-    G(5,11)) a plateau that holds op_tail_ms steady across seeds.
+    G(4,8)) a plateau that holds op_tail_ms steady across seeds.
     Multiplies draw basis pairs from a skewed hot-set distribution; pieri,
     reduce and lr arguments are uniform.
     """
@@ -179,12 +182,11 @@ def repeat_share(ops: list) -> float:
     return repeats / products if products else 0.0
 
 
-# Three matrices of each even size up to 18, one of size 20 and a few odd
-# sizes. Size 22 is left out: at today's O(2^k) cost it is one 2 s op, 40% of
-# a pass, and its fastest of eight samples still swung from 1.2 s to 2.1 s
-# between runs on a shared box.
+# Three matrices of each even size up to 18 and a few odd sizes. Sizes 20
+# and 22 are left out: at today's O(2^k) cost they take 0.4 s and 2 s, too
+# long to reach a steady fastest time on a shared box.
 PFAFFIAN_SIZES = {
-    "full": [k for k in range(2, 19, 2) for _ in range(3)] + [20, 3, 9, 15],
+    "full": [k for k in range(2, 19, 2) for _ in range(3)] + [3, 9, 15],
     "tiny": [2, 4, 4, 6, 3],
 }
 
@@ -202,7 +204,7 @@ def _matrix_text(k: int, rng: random.Random) -> str:
 
 def pfaffian_eval(seed: int, root: Path, rel_dir: str, scale: str = "full") -> list:
     """`pfaffian eval` on seeded antisymmetric rational matrices of even
-    sizes 2..20 and a few odd sizes, in seeded order.
+    sizes 2..18 and a few odd sizes, in seeded order.
 
     The files go to `root / rel_dir`. The argv names them relative to
     `root`, the child's working directory, because the path is part of the
