@@ -9,7 +9,7 @@ the hyperplane class h = sigma_1 is exact linear algebra over the integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -379,24 +379,38 @@ def lr_coefficient(lam, mu, nu) -> int:
 
 @dataclass(frozen=True)
 class HMatrixSet:
-    """Multiplication-by-h matrices for every degree, with echelon data.
+    """Multiplication by h = sigma_1 on the graded pieces, with echelon data
+    built one degree at a time on first use.
 
-    For degree i in 1..dim, `matrix[i]` has one row per degree-i basis
-    partition and one column per degree-(i-1) one; entries are 0 or 1.
-    `echelon[i]` is a reduced integer row basis of the column space, stored
-    as (pivot position, vector) pairs; `rank[i]` is its length.
+    For degree i in 1..dim, the map sends the degree-(i-1) basis into the
+    degree-i one; each source partition gives a 0/1 column. `echelon(i)` is
+    a reduced integer row basis of the column space, stored as (pivot
+    position, vector) pairs, and `rank(i)` is its length. A degree's echelon
+    form is computed when first asked for and kept; `built` lists the
+    degrees computed so far.
     """
 
     shape: GrassmannShape
-    matrices: dict
-    echelons: dict
-    ranks: dict
+    _echelons: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def built(self) -> tuple[int, ...]:
+        return tuple(sorted(self._echelons))
+
+    def echelon(self, degree: int) -> tuple:
+        hit = self._echelons.get(degree)
+        if hit is None:
+            if not 1 <= degree <= self.shape.dim:
+                raise ValueError(f"degree must lie in [1, {self.shape.dim}]")
+            hit = _h_echelon(self.shape, degree)
+            self._echelons[degree] = hit
+        return hit
 
     def rank(self, degree: int) -> int:
-        return self.ranks[degree]
+        return len(self.echelon(degree))
 
 
-def _integer_rref(vectors: list, width: int) -> list:
+def _integer_rref(vectors: list) -> list:
     """Reduced echelon form over the integers; returns (pivot, row) pairs."""
     echelon: list = []
     for vec in vectors:
@@ -433,31 +447,24 @@ def _integer_rref(vectors: list, width: int) -> list:
     return echelon
 
 
+def _h_echelon(shape: GrassmannShape, degree: int) -> tuple:
+    """Echelon form of the image of h from degree - 1 into degree."""
+    r = ring(shape)
+    target = enumerate_box(shape, degree)
+    index = {lam: k for k, lam in enumerate(target)}
+    columns = []
+    for lam in enumerate_box(shape, degree - 1):
+        col = [0] * len(target)
+        for mu in r.pieri_partitions(lam, 1):
+            col[index[mu]] = 1
+        columns.append(col)
+    return tuple((piv, tuple(row)) for piv, row in _integer_rref(columns))
+
+
 @lru_cache(maxsize=None)
 def build_h_matrices(shape: GrassmannShape) -> HMatrixSet:
-    """The 0/1 matrices of multiplication by sigma_1 on the graded bases."""
-    r = ring(shape)
-    matrices: dict = {}
-    echelons: dict = {}
-    ranks: dict = {}
-    for i in range(1, shape.dim + 1):
-        source = enumerate_box(shape, i - 1)
-        target = enumerate_box(shape, i)
-        index = {lam: k for k, lam in enumerate(target)}
-        columns = []
-        for lam in source:
-            col = [0] * len(target)
-            for mu in r.pieri_partitions(lam, 1):
-                col[index[mu]] = 1
-            columns.append(col)
-        matrices[i] = tuple(
-            tuple(columns[c][rr] for c in range(len(source)))
-            for rr in range(len(target))
-        )
-        ech = _integer_rref(columns, len(target))
-        echelons[i] = tuple((piv, tuple(row)) for piv, row in ech)
-        ranks[i] = len(ech)
-    return HMatrixSet(shape, matrices, echelons, ranks)
+    """The per-shape multiplication-by-h data; echelon forms come lazily."""
+    return HMatrixSet(shape)
 
 
 def reduce_mod_h(a: ChowElement, hmats: HMatrixSet) -> tuple[ChowElement, bool]:
@@ -477,7 +484,7 @@ def reduce_mod_h(a: ChowElement, hmats: HMatrixSet) -> tuple[ChowElement, bool]:
         raise NonHomogeneousError("reduction needs degree at least 1")
     basis = enumerate_box(a.shape, degree)
     vec = [a.terms.get(lam, Fraction(0)) for lam in basis]
-    for piv, row in hmats.echelons[degree]:
+    for piv, row in hmats.echelon(degree):
         if vec[piv]:
             f = Fraction(vec[piv], row[piv])
             vec = [v - f * r for v, r in zip(vec, row)]

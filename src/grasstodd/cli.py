@@ -173,7 +173,11 @@ def cmd_table(args) -> int:
     check_guard(args.max_n, args.force)
     try:
         entries = verdict_table(args.max_n, jobs=args.jobs)
-    except OSError:
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    except OSError as exc:
+        print(f"warning: --jobs {args.jobs} failed ({exc}); running sequentially",
+              file=sys.stderr)
         entries = verdict_table(args.max_n, jobs=None)
     roberts_count = sum(1 for e in entries if e.roberts)
     if args.json:
@@ -197,6 +201,7 @@ def cmd_table(args) -> int:
 
 def cmd_chow(args) -> int:
     shape = make_shape(args.d, args.n)
+    check_guard(args.n, args.force)
     params = {"d": args.d, "n": args.n}
     if args.chow_op == "basis":
         if not 0 <= args.degree <= shape.dim:
@@ -387,6 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--degree", type=int, required=True)
     q.add_argument("--diagrams", action="store_true")
     q.add_argument("--json", action="store_true")
+    q.add_argument("--force", action="store_true", help=f"lift the n <= {GUARD_N} guard")
     q.set_defaults(func=cmd_chow)
 
     q = ops.add_parser("pieri", help="multiply a Schubert class by sigma_m")
@@ -396,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("m", type=int)
     q.add_argument("--diagrams", action="store_true")
     q.add_argument("--json", action="store_true")
+    q.add_argument("--force", action="store_true", help=f"lift the n <= {GUARD_N} guard")
     q.set_defaults(func=cmd_chow)
 
     q = ops.add_parser("multiply", help="product of two Schubert classes")
@@ -405,6 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("mu")
     q.add_argument("--diagrams", action="store_true")
     q.add_argument("--json", action="store_true")
+    q.add_argument("--force", action="store_true", help=f"lift the n <= {GUARD_N} guard")
     q.set_defaults(func=cmd_chow)
 
     q = ops.add_parser("reduce", help="canonical representative modulo h")
@@ -413,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--class", dest="cls", action="append", required=True,
                    metavar="TERMS", help='e.g. "[2]:1" or "[2,1]:-3/4 [1,1]:2"')
     q.add_argument("--json", action="store_true")
+    q.add_argument("--force", action="store_true", help=f"lift the n <= {GUARD_N} guard")
     q.set_defaults(func=cmd_chow)
 
     p = sub.add_parser("bundle", help="tangent-bundle classes on G_d(n)")

@@ -10,6 +10,7 @@ the cone is a Roberts ring exactly when every Todd component of degree
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -69,7 +70,7 @@ def cone_chow_dims(shape: GrassmannShape) -> ConeChowDims:
     dims[t + 1] = 1
     for i in range(1, t + 1):
         j = t + 1 - i
-        dims[i] = len(enumerate_box(shape, j)) - hm.ranks[j]
+        dims[i] = len(enumerate_box(shape, j)) - hm.rank(j)
     return ConeChowDims(shape, tuple(dims))
 
 
@@ -138,11 +139,15 @@ def verdict_table(max_n: int, jobs: int | None = None) -> tuple:
 
     With jobs > 1 the shapes are farmed out to worker processes; each worker
     builds its own memo tables, and the result order is fixed either way.
+    The pool never has more workers than CPUs or shapes.
     """
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
+    if jobs is not None and jobs < 1:
+        raise ValueError("jobs must be at least 1")
     pairs = [(d, n) for n in range(2, max_n + 1) for d in range(1, n)]
-    if jobs is not None and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs or 1, os.cpu_count() or 1, len(pairs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return tuple(pool.map(_table_entry, pairs))
     return tuple(_table_entry(p) for p in pairs)

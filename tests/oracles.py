@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 
 def brute_force_ssyt(lam: tuple, n: int) -> int:
@@ -140,3 +141,55 @@ def random_antisymmetric(rng, size: int) -> list:
             v = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
             rows[i][j], rows[j][i] = v, -v
     return rows
+
+
+def eager_h_echelons(bases: list, rows: int, cols: int) -> dict:
+    """Echelon forms of multiplication by h = sigma_1, every degree at once.
+
+    `bases[i]` lists the degree-i partitions of the rows x cols box in the
+    order the engine indexes them. The column of lam in the degree-i map
+    marks each partition one box larger than lam. Rows are reduced over Q,
+    then each is scaled to a primitive integer vector with a positive pivot,
+    which makes the result unique. Returns {i: ((pivot, row), ...)}.
+    """
+    out = {}
+    for i in range(1, len(bases)):
+        index = {lam: k for k, lam in enumerate(bases[i])}
+        vectors = []
+        for lam in bases[i - 1]:
+            padded = list(lam) + [0] * (rows - len(lam))
+            col = [Fraction(0)] * len(bases[i])
+            for r in range(rows):
+                if padded[r] < cols and (r == 0 or padded[r - 1] > padded[r]):
+                    grown = padded[:]
+                    grown[r] += 1
+                    col[index[tuple(p for p in grown if p)]] = Fraction(1)
+            vectors.append(col)
+        out[i] = _primitive_rref(vectors)
+    return out
+
+
+def _primitive_rref(vectors: list) -> tuple:
+    """Gauss-Jordan over Q; rows scaled to primitive integers, by pivot."""
+    m = [list(v) for v in vectors]
+    width = len(m[0]) if m else 0
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        p = next((k for k in range(r, len(m)) if m[k][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [a / m[r][c] for a in m[r]]
+        for k in range(len(m)):
+            if k != r and m[k][c]:
+                f = m[k][c]
+                m[k] = [a - f * b for a, b in zip(m[k], m[r])]
+        pivots.append(c)
+    out = []
+    for piv, row in zip(pivots, m):
+        den = lcm(*(a.denominator for a in row))
+        ints = [int(a * den) for a in row]
+        g = gcd(*ints)
+        out.append((piv, tuple(a // g for a in ints)))
+    return tuple(out)

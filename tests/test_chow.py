@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from grasstodd import (
     ChowElement,
     GrassmannShape,
+    HMatrixSet,
     NonHomogeneousError,
     ShapeMismatchError,
     add,
@@ -30,7 +31,7 @@ from grasstodd import (
     unit,
     zero,
 )
-from oracles import distinct_points, horizontal_strip, schur_value
+from oracles import distinct_points, eager_h_echelons, horizontal_strip, schur_value
 
 
 SMALL_SHAPES = [GrassmannShape(d, n) for n in range(2, 9) for d in range(1, n)]
@@ -283,6 +284,32 @@ def test_h_matrix_ranks():
     hm = build_h_matrices(s)
     # graded basis sizes 1,1,2,2,2,1,1: the map is injective up the middle
     assert [hm.rank(i) for i in range(1, s.dim + 1)] == [1, 1, 2, 2, 1, 1]
+
+
+def test_lazy_echelons_match_eager_oracle():
+    for n in range(2, 11):
+        for d in range(1, n):
+            s = GrassmannShape(d, n)
+            bases = [enumerate_box(s, i) for i in range(s.dim + 1)]
+            eager = eager_h_echelons(bases, d, n - d)
+            hm = HMatrixSet(s)
+            # top degree first: no degree may depend on another being built
+            for i in range(s.dim, 0, -1):
+                assert hm.echelon(i) == eager[i], (d, n, i)
+                assert hm.rank(i) == len(eager[i]), (d, n, i)
+            assert hm.built == tuple(range(1, s.dim + 1))
+
+
+def test_echelon_degree_range_and_built_is_read_only():
+    hm = HMatrixSet(GrassmannShape(2, 5))
+    assert hm.built == ()
+    for bad in (0, 7):
+        with pytest.raises(ValueError):
+            hm.echelon(bad)
+    assert hm.rank(3) == 2
+    assert hm.built == (3,)
+    with pytest.raises(AttributeError):
+        hm.built = (1,)
 
 
 def test_reduce_mod_h_kills_h_multiples(rng):

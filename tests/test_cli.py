@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import grasstodd.cli as cli_module
 from grasstodd.cli import main, parse_partition
 
 
@@ -33,6 +34,43 @@ def test_guard_blocks_large_n(capsys):
     code, _, err = run(capsys, "roberts", "2", "14")
     assert code == 2
     assert "--force" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "2", "13", "--degree", "1"],
+    ["pieri", "2", "13", "1", "1"],
+    ["multiply", "2", "13", "1", "1"],
+    ["reduce", "2", "13", "--class", "[2]:1"],
+])
+def test_guard_covers_chow(capsys, argv):
+    code, _, err = run(capsys, "chow", *argv)
+    assert code == 2
+    assert "--force" in err
+    code, out, err = run(capsys, "chow", *argv, "--force")
+    assert code == 0 and out and err == ""
+
+
+def test_table_rejects_zero_jobs(capsys):
+    code, _, err = run(capsys, "table", "4", "--jobs", "0")
+    assert code == 2
+    assert "jobs" in err
+
+
+def test_table_fallback_is_loud(capsys, monkeypatch):
+    _, quiet, _ = run(capsys, "table", "5", "--json")
+    real = cli_module.verdict_table
+
+    def no_workers(max_n, jobs=None):
+        if jobs is not None:
+            raise OSError("cannot start workers")
+        return real(max_n, jobs=jobs)
+
+    monkeypatch.setattr(cli_module, "verdict_table", no_workers)
+    code, out, err = run(capsys, "table", "5", "--jobs", "2", "--json")
+    assert code == 0
+    assert out == quiet
+    assert len(err.splitlines()) == 1
+    assert "sequential" in err and "cannot start workers" in err
 
 
 def test_pfaffian_classify_exit_codes(capsys):

@@ -8,10 +8,12 @@ from fractions import Fraction
 
 import pytest
 
+import grasstodd.cone as cone_module
 from grasstodd import (
     GrassmannShape,
     build_h_matrices,
     cone_chow_dims,
+    enumerate_box,
     gorenstein_parity_check,
     multiply,
     reduce_mod_h,
@@ -21,6 +23,7 @@ from grasstodd import (
     tau_components,
     verdict_table,
 )
+from oracles import eager_h_echelons
 
 
 def expected_roberts(d: int, n: int) -> bool:
@@ -49,6 +52,30 @@ def test_cone_chow_dims_match_h_ranks():
         # degree-t piece is one-dimensional and h hits it: A_1 = 0
         assert out.dims[1] == 0
         assert all(v >= 0 for v in out.dims)
+
+
+def test_cone_chow_dims_match_eager_ranks():
+    for n in range(2, 11):
+        for d in range(1, n):
+            s = GrassmannShape(d, n)
+            t = s.dim
+            bases = [enumerate_box(s, i) for i in range(t + 1)]
+            eager = eager_h_echelons(bases, d, n - d)
+            want = [0] * (t + 2)
+            want[t + 1] = 1
+            for i in range(1, t + 1):
+                want[i] = len(bases[t + 1 - i]) - len(eager[t + 1 - i])
+            assert cone_chow_dims(s).dims == tuple(want), (d, n)
+
+
+def test_verdict_mode_builds_only_the_echelons_it_reads():
+    build_h_matrices.cache_clear()
+    report = roberts_verdict(GrassmannShape(4, 9), mode="verdict")
+    assert report.witness == 2
+    assert build_h_matrices(GrassmannShape(4, 9)).built == (2,)
+    report = roberts_verdict(GrassmannShape(4, 8), mode="verdict")
+    assert report.witness == 4
+    assert build_h_matrices(GrassmannShape(4, 8)).built == (2, 4)
 
 
 def test_tau_records_carry_both_indexings():
@@ -133,6 +160,44 @@ def test_verdict_table_parallel_agrees():
     seq = verdict_table(6)
     par = verdict_table(6, jobs=2)
     assert seq == par
+
+
+def test_verdict_table_rejects_zero_jobs():
+    with pytest.raises(ValueError):
+        verdict_table(4, jobs=0)
+
+
+def test_verdict_table_clamps_pool_size(monkeypatch):
+    seen = []
+
+    class RecordingPool:
+        # stands in for ProcessPoolExecutor: records the size, runs in-process
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    seq = verdict_table(4)  # 6 shapes
+    monkeypatch.setattr(cone_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cone_module.os, "cpu_count", lambda: 64)
+    assert verdict_table(4, jobs=5000) == seq
+    assert verdict_table(4, jobs=4) == seq
+    monkeypatch.setattr(cone_module.os, "cpu_count", lambda: 3)
+    assert verdict_table(4, jobs=5000) == seq
+    assert seen == [6, 4, 3]
+    # one CPU (or an unknown count) or one job: no pool at all
+    monkeypatch.setattr(cone_module.os, "cpu_count", lambda: None)
+    assert verdict_table(4, jobs=5000) == seq
+    monkeypatch.setattr(cone_module.os, "cpu_count", lambda: 64)
+    assert verdict_table(4, jobs=1) == seq
+    assert seen == [6, 4, 3]
 
 
 def test_record_lookup_missing_degree():
