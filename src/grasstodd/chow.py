@@ -387,11 +387,13 @@ class HMatrixSet:
     a reduced integer row basis of the column space, stored as (pivot
     position, vector) pairs, and `rank(i)` is its length. A degree's echelon
     form is computed when first asked for and kept; `built` lists the
-    degrees computed so far.
+    degrees computed so far. `quotient_dim(i)` and `normal_forms(i)` give
+    the degree-i piece of the quotient A/(h), read off the same echelons.
     """
 
     shape: GrassmannShape
     _echelons: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def built(self) -> tuple[int, ...]:
@@ -408,6 +410,45 @@ class HMatrixSet:
 
     def rank(self, degree: int) -> int:
         return len(self.echelon(degree))
+
+    def quotient_dim(self, degree: int) -> int:
+        """Dimension of the degree piece of A/(h); zero outside 0..dim.
+
+        Degree 1 needs no echelon form: when enumeration shows its basis is
+        exactly [(1,)] = h * 1, the piece is zero.
+        """
+        if degree == 0:
+            return 1
+        basis = enumerate_box(self.shape, degree)
+        if not basis or (degree == 1 and basis == ((1,),)):
+            return 0
+        return len(basis) - self.rank(degree)
+
+    def normal_forms(self, degree: int) -> dict:
+        """Canonical representative mod h of every degree basis partition.
+
+        Maps each partition to ((partition, coefficient), ...) on the
+        non-pivot partitions: a non-pivot one maps to itself, the pivot of an
+        echelon row to minus the rest of that row over its pivot entry. A
+        degree with zero quotient maps everything to ().
+        """
+        hit = self._forms.get(degree)
+        if hit is None:
+            basis = enumerate_box(self.shape, degree)
+            if self.quotient_dim(degree) == 0:
+                hit = {lam: () for lam in basis}
+            else:
+                rows = self.echelon(degree) if degree else ()
+                pivots = {piv for piv, _ in rows}
+                hit = {lam: ((lam, Fraction(1)),)
+                       for k, lam in enumerate(basis) if k not in pivots}
+                for piv, row in rows:
+                    hit[basis[piv]] = tuple(
+                        (basis[k], Fraction(-a, row[piv]))
+                        for k, a in enumerate(row) if a and k not in pivots
+                    )
+            self._forms[degree] = hit
+        return hit
 
 
 def _integer_rref(vectors: list) -> list:
@@ -467,13 +508,25 @@ def build_h_matrices(shape: GrassmannShape) -> HMatrixSet:
     return HMatrixSet(shape)
 
 
+def _reduce_terms(shape: GrassmannShape, terms: dict, forms: dict) -> ChowElement:
+    out: dict = {}
+    for lam, c in terms.items():
+        for mu, f in forms[lam]:
+            s = out.get(mu, 0) + c * f
+            if s:
+                out[mu] = s
+            else:
+                out.pop(mu, None)
+    return ChowElement(shape, out)
+
+
 def reduce_mod_h(a: ChowElement, hmats: HMatrixSet) -> tuple[ChowElement, bool]:
     """Canonical representative of a homogeneous class modulo h times the
     previous graded piece, plus a membership flag.
 
-    The coordinate vector is eliminated against the fixed echelon basis of
-    the image of multiplication by h; the flag is True exactly when the
-    residual vanishes.
+    The representative is the unique element of the class with no pivot
+    partition of the echelon basis in its support (`normal_forms`); the
+    flag is True exactly when it vanishes.
     """
     if a.shape != hmats.shape:
         raise ShapeMismatchError(f"shapes differ: {a.shape} vs {hmats.shape}")
@@ -482,14 +535,31 @@ def reduce_mod_h(a: ChowElement, hmats: HMatrixSet) -> tuple[ChowElement, bool]:
     degree = a.homogeneous_degree()
     if degree < 1:
         raise NonHomogeneousError("reduction needs degree at least 1")
-    basis = enumerate_box(a.shape, degree)
-    vec = [a.terms.get(lam, Fraction(0)) for lam in basis]
-    for piv, row in hmats.echelon(degree):
-        if vec[piv]:
-            f = Fraction(vec[piv], row[piv])
-            vec = [v - f * r for v, r in zip(vec, row)]
-    terms = {lam: v for lam, v in zip(basis, vec) if v}
-    return ChowElement(a.shape, terms), not terms
+    rep = _reduce_terms(a.shape, a.terms, hmats.normal_forms(degree))
+    return rep, rep.is_zero()
+
+
+def multiply_mod_h(a: ChowElement, b: ChowElement, hmats: HMatrixSet) -> ChowElement:
+    """Product in the quotient A/(h) of two homogeneous classes.
+
+    The basis products are summed, then reduced in the target degree; for
+    canonical representatives a and b this is the canonical representative
+    of a * b. A target degree with zero quotient gives zero with no product.
+    """
+    _check_shapes(a, b)
+    if a.is_zero() or b.is_zero():
+        return zero(a.shape)
+    degree = a.homogeneous_degree() + b.homogeneous_degree()
+    if hmats.quotient_dim(degree) == 0:
+        return zero(a.shape)
+    r = ring(a.shape)
+    out: dict = {}
+    for lam, ca in a.terms.items():
+        for mu, cb in b.terms.items():
+            c = ca * cb
+            for nu, k in r.pair_product(lam, mu).items():
+                out[nu] = out.get(nu, 0) + c * k
+    return _reduce_terms(a.shape, out, hmats.normal_forms(degree))
 
 
 def graded_context(shape: GrassmannShape, truncation: int | None = None) -> GradedContext:
@@ -502,5 +572,20 @@ def graded_context(shape: GrassmannShape, truncation: int | None = None) -> Grad
         add=lambda a, b: a + b,
         scale=scale,
         mul=lambda a, b: multiply(a, b, max_degree=limit),
+        component=lambda a, k: a.component(k),
+    )
+
+
+def quotient_context(hmats: HMatrixSet) -> GradedContext:
+    """Adapter exposing A/(h) to the graded series combinators: classes are
+    canonical representatives and `mul` is `multiply_mod_h`."""
+    shape = hmats.shape
+    return GradedContext(
+        truncation=shape.dim,
+        zero=zero(shape),
+        one=unit(shape),
+        add=lambda a, b: a + b,
+        scale=scale,
+        mul=lambda a, b: multiply_mod_h(a, b, hmats),
         component=lambda a, k: a.component(k),
     )

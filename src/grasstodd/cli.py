@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .bundles import ch_tangent, chern_tangent, todd_tangent
@@ -454,9 +455,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # built on the first main() call, not at import, and reused after that
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -6,6 +6,9 @@ degree-(t+1-i) graded piece modulo h. The Riemann-Roch image of the cone's
 fundamental class is realized by the Todd class of the tangent bundle, so
 the cone is a Roberts ring exactly when every Todd component of degree
 1..t reduces to zero mod h.
+
+Reduction mod h is a ring homomorphism, so the reduced components are
+computed in the quotient A/(h) itself, one degree at a time (`TauStream`).
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
-from .bundles import todd_tangent
-from .chow import ChowElement, build_h_matrices, reduce_mod_h
-from .partitions import GrassmannShape, enumerate_box
+from .chow import ChowElement, build_h_matrices, quotient_context, reduce_mod_h, scale, sigma
+from .partitions import GrassmannShape
+from .series import cauchy_sum, exp_piece, newton_power_sum, todd_log_coeffs
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,95 @@ class RobertsReport:
         raise KeyError(f"no record for degree {degree}")
 
 
+class _Graded:
+    """A graded sequence in A/(h), each degree computed on first use and kept.
+
+    A degree whose quotient dimension is zero holds zero without running the
+    rule; `computed` lists the degrees whose rule ran.
+    """
+
+    def __init__(self, hmats, zero, rule):
+        self._hmats = hmats
+        self._zero = zero
+        self._rule = rule
+        self._memo: dict = {}
+        self.computed: list = []
+
+    def __call__(self, k: int) -> ChowElement:
+        hit = self._memo.get(k)
+        if hit is None:
+            if self._hmats.quotient_dim(k) == 0:
+                hit = self._zero
+            else:
+                hit = self._rule(k)
+                self.computed.append(k)
+            self._memo[k] = hit
+        return hit
+
+
+class TauStream:
+    """The reduced Todd components of one shape, computed in A/(h).
+
+    Every class is a canonical representative mod h and every product is a
+    quotient product (`multiply_mod_h`), so tau_j is the exp recurrence of
+    x_m = a_m * m! * ch_m(T) run in the quotient. m! ch_m of a bundle is the
+    m-th power sum of its Chern roots: for Q the Newton power sum p_m of the
+    special classes, for S* (-1)^(m+1) p_m, with the ranks n-d and d in
+    degree 0, and for T = S* (x) Q the sum over i of C(m, i) times the
+    degree-i one of S* times the degree-(m-i) one of Q.
+
+    Degrees are built only when a record needs them. A degree with zero
+    quotient dimension (a rank certificate, or enumeration for degree 1) is
+    zero in every sequence, with no product and no Todd work; in a product
+    the lower-degree factor comes first and a zero one skips the other.
+    """
+
+    def __init__(self, shape: GrassmannShape):
+        self.shape = shape
+        self.hmats = build_h_matrices(shape)
+        self._ctx = quotient_context(self.hmats)
+        zero = self._ctx.zero
+        self._e = _Graded(self.hmats, zero, self._elementary)
+        self._pq = _Graded(self.hmats, zero, self._power_sum_q)
+        self._ps = _Graded(self.hmats, zero, self._power_sum_s_dual)
+        self._x = _Graded(self.hmats, zero, self._todd_input)
+        self._y = _Graded(self.hmats, zero, self._todd)
+
+    def _elementary(self, i: int) -> ChowElement:
+        return reduce_mod_h(sigma(self.shape, i), self.hmats)[0]
+
+    def _power_sum_q(self, m: int) -> ChowElement:
+        if m == 0:
+            return scale(self.shape.cols, self._ctx.one)
+        return newton_power_sum(m, self._e, self._pq, self._ctx)
+
+    def _power_sum_s_dual(self, m: int) -> ChowElement:
+        if m == 0:
+            return scale(self.shape.d, self._ctx.one)
+        return scale((-1) ** (m + 1), self._pq(m))
+
+    def _todd_input(self, m: int) -> ChowElement:
+        a = todd_log_coeffs(m)[m]
+        if not a:
+            return self._ctx.zero
+        terms = [(comb(m, i), i, self._ps, self._pq) for i in range(m + 1)]
+        return scale(a, cauchy_sum(m, terms, self._ctx))
+
+    def _todd(self, k: int) -> ChowElement:
+        if k == 0:
+            return self._ctx.one
+        return exp_piece(k, self._x, self._y, self._ctx)
+
+    @property
+    def todd_degrees(self) -> tuple:
+        """Degrees >= 1 whose reduced Todd component ran the exp recurrence."""
+        return tuple(sorted(k for k in self._y.computed if k))
+
+    def record(self, j: int) -> TauRecord:
+        rep = self._y(j)
+        return TauRecord(j, self.shape.dim + 1 - j, rep, rep.is_zero())
+
+
 @dataclass(frozen=True)
 class ConeChowDims:
     """dims[i] = rational dimension of A_i for the cone, i = 0..t+1."""
@@ -61,57 +154,52 @@ class ConeChowDims:
 def cone_chow_dims(shape: GrassmannShape) -> ConeChowDims:
     """Chow-group dimensions of the cone: cokernels of multiplication by h.
 
-    A_i has dimension |basis(t+1-i)| - rank(h-matrix into degree t+1-i) for
-    1 <= i <= t; A_0 = 0 and A_{t+1} is one-dimensional.
+    A_i is the degree-(t+1-i) piece of A/(h) for 1 <= i <= t; A_0 = 0 and
+    A_{t+1} is one-dimensional.
     """
     t = shape.dim
     hm = build_h_matrices(shape)
     dims = [0] * (t + 2)
     dims[t + 1] = 1
     for i in range(1, t + 1):
-        j = t + 1 - i
-        dims[i] = len(enumerate_box(shape, j)) - hm.rank(j)
+        dims[i] = hm.quotient_dim(t + 1 - i)
     return ConeChowDims(shape, tuple(dims))
 
 
-def _reduced_component(shape, hm, td, j: int) -> TauRecord:
-    rep, flag = reduce_mod_h(td.component(j), hm)
-    return TauRecord(j, shape.dim + 1 - j, rep, flag)
+def _full_report(stream: TauStream) -> RobertsReport:
+    t = stream.shape.dim
+    records = tuple(stream.record(j) for j in range(1, t + 1))
+    witness = min((r.degree for r in records if not r.is_zero), default=None)
+    return RobertsReport(stream.shape, t + 1, records, witness is None, witness)
 
 
 @lru_cache(maxsize=None)
 def tau_components(shape: GrassmannShape) -> RobertsReport:
     """Every reduced Todd component of degree 1..t, no short-circuits."""
-    t = shape.dim
-    td = todd_tangent(shape)
-    hm = build_h_matrices(shape)
-    records = tuple(_reduced_component(shape, hm, td, j) for j in range(1, t + 1))
-    witness = min((r.degree for r in records if not r.is_zero), default=None)
-    return RobertsReport(shape, t + 1, records, witness is None, witness)
+    return _full_report(TauStream(shape))
 
 
 def roberts_verdict(shape: GrassmannShape, mode: str = "report") -> RobertsReport:
     """Decide whether the cone is a Roberts ring.
 
     In "report" mode every degree is computed. In "verdict" mode even
-    degrees are scanned first in increasing order with the Todd class
-    truncated as it goes, stopping at the first nonzero component; odd
-    degrees only need checking when all even ones vanish.
+    degrees are scanned first in increasing order, stopping at the first
+    nonzero component; odd degrees only need checking when all even ones
+    vanish. Both read one `TauStream`, which builds each degree once.
     """
     if mode not in ("report", "verdict"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "report":
         return tau_components(shape)
     t = shape.dim
-    hm = build_h_matrices(shape)
+    stream = TauStream(shape)
     records = []
     for j in range(2, t + 1, 2):
-        td = todd_tangent(shape, max_degree=j)
-        rec = _reduced_component(shape, hm, td, j)
+        rec = stream.record(j)
         records.append(rec)
         if not rec.is_zero:
             return RobertsReport(shape, t + 1, tuple(records), False, j)
-    return tau_components(shape)
+    return _full_report(stream)
 
 
 def gorenstein_parity_check(shape: GrassmannShape) -> bool:

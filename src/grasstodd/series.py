@@ -103,14 +103,54 @@ def todd_log_coeffs(trunc: int) -> ToddLogCoeffs:
     return ToddLogCoeffs(trunc, tuple(_series_log(q, trunc)))
 
 
+# -- lazy graded sums of products --------------------------------------------
+
+
+def cauchy_sum(k: int, terms, ctx: GradedContext):
+    """Sum of c * f(i) * g(k - i) over the (c, i, f, g) in `terms`.
+
+    `f` and `g` map a degree to a homogeneous class and may compute it on
+    demand. The lower-degree factor is fetched first and a zero one skips
+    the other, so a caller building one degree at a time never asks for a
+    factor that a zero partner makes irrelevant.
+    """
+    acc = ctx.zero
+    for c, i, f, g in terms:
+        if i <= k - i:
+            a = f(i)
+            if a == ctx.zero:
+                continue
+            b = g(k - i)
+            if b == ctx.zero:
+                continue
+        else:
+            b = g(k - i)
+            if b == ctx.zero:
+                continue
+            a = f(i)
+            if a == ctx.zero:
+                continue
+        acc = ctx.add(acc, ctx.scale(c, ctx.mul(a, b)))
+    return acc
+
+
 # -- Newton's identities in a host algebra -----------------------------------
+
+
+def newton_power_sum(m: int, e, p, ctx: GradedContext):
+    """p_m = e_1 p_{m-1} - e_2 p_{m-2} + ... + (-1)^{m-1} m e_m.
+
+    `e` and `p` map a degree to the elementary class and to a lower power
+    sum; see `cauchy_sum`.
+    """
+    acc = ctx.scale(Fraction((-1) ** (m - 1) * m), e(m))
+    return ctx.add(acc, cauchy_sum(m, [((-1) ** (i - 1), i, e, p) for i in range(1, m)], ctx))
 
 
 def power_sums_from_elementary(e: list, rank: int, ctx: GradedContext) -> list:
     """Power sums p_1..p_D from elementary symmetric classes e_1..e_rank.
 
     Entries of `e` beyond the rank (or beyond the list) count as zero.
-    Newton: p_m = e_1 p_{m-1} - e_2 p_{m-2} + ... + (-1)^{m-1} m e_m.
     """
 
     def e_at(i: int):
@@ -120,13 +160,7 @@ def power_sums_from_elementary(e: list, rank: int, ctx: GradedContext) -> list:
 
     p: list = []
     for m in range(1, ctx.truncation + 1):
-        acc = ctx.scale(Fraction((-1) ** (m - 1) * m), e_at(m))
-        for i in range(1, m):
-            ei = e_at(i)
-            if ei == ctx.zero:
-                continue
-            acc = ctx.add(acc, ctx.scale((-1) ** (i - 1), ctx.mul(ei, p[m - i - 1])))
-        p.append(acc)
+        p.append(newton_power_sum(m, e_at, lambda i: p[i - 1], ctx))
     return p
 
 
@@ -146,28 +180,27 @@ def elementary_from_power_sums(p: list, ctx: GradedContext) -> list:
 # -- graded exponential and logarithm ----------------------------------------
 
 
+def exp_piece(k: int, x, y, ctx: GradedContext):
+    """Degree-k piece of exp(x) for k >= 1, from the derivation recurrence
+    y_k = (1/k) sum_j j * x_j * y_{k-j}.
+
+    `x` maps a degree to the piece of x, `y` to a lower piece of exp(x);
+    see `cauchy_sum`.
+    """
+    return ctx.scale(Fraction(1, k), cauchy_sum(k, [(j, j, x, y) for j in range(1, k + 1)], ctx))
+
+
 def exp_graded(x, ctx: GradedContext):
     """sum_k x^k / k! truncated at the context degree; x needs zero constant term.
 
-    Evaluated through the derivation recurrence
-    y_k = (1/k) sum_j j * x_j * y_{k-j}, which reproduces the exponential
-    series one graded component at a time.
+    Built one graded component at a time by `exp_piece`.
     """
     if ctx.component(x, 0) != ctx.zero:
         raise ValueError("exp_graded needs a vanishing degree-0 part")
-    comps = {}
-    for j in range(1, ctx.truncation + 1):
-        xj = ctx.component(x, j)
-        if xj != ctx.zero:
-            comps[j] = xj
-    y = [ctx.one] + [ctx.zero] * ctx.truncation
+    comps = {j: ctx.component(x, j) for j in range(1, ctx.truncation + 1)}
+    y = [ctx.one]
     for k in range(1, ctx.truncation + 1):
-        acc = ctx.zero
-        for j, xj in comps.items():
-            if j > k or y[k - j] == ctx.zero:
-                continue
-            acc = ctx.add(acc, ctx.scale(j, ctx.mul(xj, y[k - j])))
-        y[k] = ctx.scale(Fraction(1, k), acc)
+        y.append(exp_piece(k, comps.__getitem__, y.__getitem__, ctx))
     total = y[0]
     for k in range(1, ctx.truncation + 1):
         total = ctx.add(total, y[k])

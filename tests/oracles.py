@@ -193,3 +193,24 @@ def _primitive_rref(vectors: list) -> tuple:
         g = gcd(*ints)
         out.append((piv, tuple(a // g for a in ints)))
     return tuple(out)
+
+
+def eager_tau(todd_terms: dict, bases: list, echelons: dict) -> dict:
+    """Every graded piece of a Todd class reduced mod h, the slow way.
+
+    `todd_terms` maps partitions to coefficients of the whole class, all
+    degrees at once; `bases` and `echelons` are as for `eager_h_echelons`.
+    Degree j's coordinate vector is eliminated against that degree's
+    echelon rows, leaving the unique representative that vanishes at every
+    pivot. Returns {j: {partition: Fraction}} for j = 1..len(bases)-1,
+    with zero coefficients dropped.
+    """
+    out = {}
+    for j in range(1, len(bases)):
+        vec = [Fraction(todd_terms.get(lam, 0)) for lam in bases[j]]
+        for piv, row in echelons[j]:
+            if vec[piv]:
+                f = vec[piv] / row[piv]
+                vec = [v - f * r for v, r in zip(vec, row)]
+        out[j] = {lam: v for lam, v in zip(bases[j], vec) if v}
+    return out

@@ -23,6 +23,7 @@ from grasstodd import (
     giambelli_expand,
     lr_coefficient,
     multiply,
+    multiply_mod_h,
     pieri,
     reduce_mod_h,
     scale,
@@ -31,7 +32,7 @@ from grasstodd import (
     unit,
     zero,
 )
-from oracles import distinct_points, eager_h_echelons, horizontal_strip, schur_value
+from oracles import distinct_points, eager_h_echelons, eager_tau, horizontal_strip, schur_value
 
 
 SMALL_SHAPES = [GrassmannShape(d, n) for n in range(2, 9) for d in range(1, n)]
@@ -350,3 +351,54 @@ def test_reduce_mod_h_zero_input():
     hm = build_h_matrices(s)
     rep, is_zero = reduce_mod_h(zero(s), hm)
     assert is_zero and rep.is_zero()
+
+
+def random_class(shape, rng, terms=4):
+    mapping = {}
+    for _ in range(terms):
+        lam = partition_in(shape, rng)
+        mapping[lam] = mapping.get(lam, 0) + Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return ChowElement(shape, {lam: c for lam, c in mapping.items() if c})
+
+
+def test_reduce_mod_h_matches_dense_elimination(rng):
+    for s in SMALL_SHAPES:
+        bases = [enumerate_box(s, i) for i in range(s.dim + 1)]
+        echelons = eager_h_echelons(bases, s.d, s.cols)
+        hm = HMatrixSet(s)
+        for _ in range(3):
+            a = random_class(s, rng, terms=6)
+            want = eager_tau(a.terms, bases, echelons)
+            for j in range(1, s.dim + 1):
+                rep, is_zero = reduce_mod_h(a.component(j), hm)
+                assert rep.terms == want[j], (s, j)
+                assert is_zero == (not want[j])
+                assert hm.quotient_dim(j) == len(bases[j]) - len(echelons[j])
+
+
+def test_degree_one_quotient_needs_no_echelon():
+    for s in SMALL_SHAPES:
+        hm = HMatrixSet(s)
+        assert hm.quotient_dim(1) == 0
+        assert reduce_mod_h(sigma(s, 1), hm) == (zero(s), True)
+        assert hm.built == ()
+        assert hm.quotient_dim(0) == 1 and hm.quotient_dim(s.dim + 1) == 0
+
+
+def test_multiply_mod_h_reduces_the_product(rng):
+    for s in [GrassmannShape(2, 5), GrassmannShape(3, 6), GrassmannShape(3, 7), GrassmannShape(4, 8)]:
+        hm = build_h_matrices(s)
+        for _ in range(20):
+            lam = partition_in(s, rng)
+            mu = partition_in(s, rng, max_weight=s.dim - sum(lam))
+            if not lam or not mu:
+                continue
+            a = random_class(s, rng).component(sum(lam)) + schubert(s, lam)
+            b = random_class(s, rng).component(sum(mu)) + schubert(s, mu)
+            if a.is_zero() or b.is_zero():
+                continue
+            want, _ = reduce_mod_h(multiply(a, b), hm)
+            ra, _ = reduce_mod_h(a, hm)
+            rb, _ = reduce_mod_h(b, hm)
+            assert multiply_mod_h(ra, rb, hm) == want, (s, lam, mu)
+            assert multiply_mod_h(a, b, hm) == want, (s, lam, mu)

@@ -268,3 +268,28 @@ def test_console_script_installed():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["result"]["roberts"] is True
+
+
+def test_main_reuses_one_parser_without_leaking_state(capsys, monkeypatch):
+    # same usage-line wrapping in this process and in the fresh ones
+    monkeypatch.setenv("COLUMNS", "80")
+    cli_module._shared_parser.cache_clear()
+    sequence = (
+        ["roberts", "2", "6", "--verdict-only"],
+        ["roberts", "2", "6"],
+        ["roberts", "2"],  # argparse usage error: n is missing
+        ["chow", "multiply", "3", "7", "[2,1]", "[1]", "--json"],
+        ["pfaffian", "classify", "2", "6"],
+    )
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "grasstodd", *argv], capture_output=True, text=True,
+        )
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    info = cli_module._shared_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(sequence) - 1)

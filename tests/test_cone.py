@@ -11,6 +11,7 @@ import pytest
 import grasstodd.cone as cone_module
 from grasstodd import (
     GrassmannShape,
+    TauStream,
     build_h_matrices,
     cone_chow_dims,
     enumerate_box,
@@ -21,9 +22,11 @@ from grasstodd import (
     scale,
     sigma,
     tau_components,
+    todd_tangent,
     verdict_table,
 )
-from oracles import eager_h_echelons
+from grasstodd.bundles import _ch_tangent
+from oracles import eager_h_echelons, eager_tau
 
 
 def expected_roberts(d: int, n: int) -> bool:
@@ -76,6 +79,60 @@ def test_verdict_mode_builds_only_the_echelons_it_reads():
     report = roberts_verdict(GrassmannShape(4, 8), mode="verdict")
     assert report.witness == 4
     assert build_h_matrices(GrassmannShape(4, 8)).built == (2, 4)
+
+
+def test_tau_stream_matches_eager_oracle():
+    # the slow path: the whole Todd class, then every degree reduced
+    for n in range(2, 11):
+        for d in range(1, n):
+            s = GrassmannShape(d, n)
+            bases = [enumerate_box(s, i) for i in range(s.dim + 1)]
+            want = eager_tau(todd_tangent(s).terms, bases, eager_h_echelons(bases, d, n - d))
+            stream = TauStream(s)
+            for j in range(1, s.dim + 1):
+                rec = stream.record(j)
+                assert rec.representative.terms == want[j], (d, n, j)
+                assert rec.is_zero == (not want[j])
+            # Todd work only where the quotient is nonzero
+            nonzero = {j for j in range(1, s.dim + 1) if stream.hmats.quotient_dim(j)}
+            assert set(stream.todd_degrees) <= nonzero, (d, n)
+            assert tau_components(s).records == tuple(stream.record(j) for j in range(1, s.dim + 1))
+            for rec in roberts_verdict(s, mode="verdict").records:
+                assert rec.representative.terms == want[rec.degree], (d, n, rec.degree)
+
+
+def test_verdict_on_projective_spaces_needs_only_rank_certificates(monkeypatch):
+    calls = []
+
+    def spy(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapped
+
+    for name in ("cauchy_sum", "exp_piece", "newton_power_sum"):
+        monkeypatch.setattr(cone_module, name, spy(getattr(cone_module, name)))
+    build_h_matrices.cache_clear()
+    _ch_tangent.cache_clear()
+    for n in range(2, 13):
+        for d in (1, n - 1):
+            s = GrassmannShape(d, n)
+            report = roberts_verdict(s, mode="verdict")
+            assert report.verdict and all(r.is_zero for r in report.records)
+            # every degree but the first certified by a 1x1 rank, degree 1 by enumeration
+            assert build_h_matrices(s).built == tuple(range(2, s.dim + 1))
+    assert calls == []
+    assert _ch_tangent.cache_info().misses == 0
+
+
+def test_todd_work_stops_at_top_nonzero_quotient_degree():
+    # J = 2 for G(2,4) and J = 3 for G(3,6)
+    for (d, n), dims in [((2, 4), (0, 1, 0, 0)), ((3, 6), (0, 1, 1) + (0,) * 6)]:
+        s = GrassmannShape(d, n)
+        stream = TauStream(s)
+        assert tuple(stream.hmats.quotient_dim(j) for j in range(1, s.dim + 1)) == dims
+        assert all(stream.record(j).is_zero for j in range(1, s.dim + 1))
+        assert stream.todd_degrees == tuple(j for j, q in enumerate(dims, start=1) if q)
 
 
 def test_tau_records_carry_both_indexings():
