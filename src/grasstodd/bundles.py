@@ -1,8 +1,13 @@
 """Tautological-bundle classes on a Grassmannian.
 
 Chern classes and Chern characters of the quotient bundle Q, the subbundle
-S and its dual, and of the tangent bundle S* (x) Q, together with the Todd
-class of the tangent bundle — everything as exact Schubert-basis classes.
+S and its dual, and of the tangent bundle T = S* (x) Q, together with the
+Todd class of the tangent bundle — everything as exact Schubert-basis classes.
+
+`TangentPipeline` builds these classes one degree at a time in a graded
+ring. `chow_pipeline(shape)` is its per-shape instance on the Chow ring,
+and every constructor here reads a prefix of its degrees; `cone.TauStream`
+is the instance on the quotient A/(h).
 
 All constructors accept `max_degree` to truncate the computation early;
 the default carries every class up to the top degree t = d(n-d).
@@ -12,17 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from functools import lru_cache, partial
+from math import comb, factorial
 
-from .chow import ChowElement, graded_context, multiply, pieri, scale, sigma, unit, zero
+from .chow import ChowElement, graded_context, pieri, sigma, unit, zero
 from .partitions import GrassmannShape
-from .series import (
-    elementary_from_power_sums,
-    exp_graded,
-    power_sums_from_elementary,
-    todd_log_coeffs,
-)
+from .series import GradedContext, cauchy_sum, exp_piece, newton_power_sum, todd_log_coeffs
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,110 @@ class BundleChern:
         return zero(self.shape)
 
 
+class TangentPipeline:
+    """The tangent-bundle classes of one shape in a graded ring, one degree
+    at a time.
+
+    m! ch_m of a bundle is the m-th power sum of its Chern roots: for Q the
+    Newton power sum p_m of the special classes, for S* (-1)^(m+1) p_m, with
+    the ranks n-d and d in degree 0, and for T = S* (x) Q the sum over i of
+    C(m, i) times the degree-i one of S* times the degree-(m-i) one of Q.
+    The Todd class is the exp recurrence of x_m = a_m * m! ch_m(T), and the
+    Chern classes of T invert Newton's identities:
+    c_m = (1/m) sum_i (-1)^(i-1) i! ch_i(T) c_(m-i).
+
+    Each sequence maps a degree to its homogeneous class, computed on first
+    use and kept. A degree where `vanishes(k)` holds is zero in every
+    sequence, with no product and no Todd work; in a product the
+    lower-degree factor comes first and a zero one skips the other (see
+    `cauchy_sum`). `special(i)` is sigma_i in the ring.
+    """
+
+    def __init__(self, shape: GrassmannShape, ctx: GradedContext, vanishes, special):
+        self.shape = shape
+        self._ctx = ctx
+        self._vanishes = vanishes
+        self._todd_work: list = []
+        self.special = self._graded(special)
+        self.power_q = self._graded(self._power_sum_q)
+        self.power_s_dual = self._graded(self._power_sum_s_dual)
+        self.power_tangent = self._graded(self._power_sum_tangent)
+        self.todd_input = self._graded(self._todd_input)
+        self.todd = self._graded(self._todd)
+        self.chern = self._graded(self._chern)
+        # the Chern characters: ch_m = (m! ch_m) / m!, and ch_m(S) = (-1)^m ch_m(S*)
+        self.ch_q = self._graded(partial(self._unscale, self.power_q))
+        self.ch_s_dual = self._graded(partial(self._unscale, self.power_s_dual))
+        self.ch_tangent = self._graded(partial(self._unscale, self.power_tangent))
+        self.ch_s = self._graded(lambda m: ctx.scale((-1) ** m, self.ch_s_dual(m)))
+
+    def _graded(self, rule):
+        memo: dict = {}
+
+        def at(k: int):
+            hit = memo.get(k)
+            if hit is None:
+                hit = self._ctx.zero if self._vanishes(k) else rule(k)
+                memo[k] = hit
+            return hit
+
+        return at
+
+    def _unscale(self, power, m: int):
+        return self._ctx.scale(Fraction(1, factorial(m)), power(m))
+
+    def _power_sum_q(self, m: int):
+        if m == 0:
+            return self._ctx.scale(self.shape.cols, self._ctx.one)
+        return newton_power_sum(m, self.special, self.power_q, self._ctx)
+
+    def _power_sum_s_dual(self, m: int):
+        if m == 0:
+            return self._ctx.scale(self.shape.d, self._ctx.one)
+        return self._ctx.scale((-1) ** (m + 1), self.power_q(m))
+
+    def _power_sum_tangent(self, m: int):
+        terms = [(comb(m, i), i, self.power_s_dual, self.power_q) for i in range(m + 1)]
+        return cauchy_sum(m, terms, self._ctx)
+
+    def _todd_input(self, m: int):
+        # the series up to the next power of two: a verdict reads only low
+        # degrees, and a whole class computes it O(log t) times, not t times
+        a = todd_log_coeffs(min(1 << (m - 1).bit_length(), self.shape.dim))[m]
+        return self._ctx.scale(a, self.power_tangent(m)) if a else self._ctx.zero
+
+    def _todd(self, k: int):
+        if k == 0:
+            return self._ctx.one
+        self._todd_work.append(k)
+        return exp_piece(k, self.todd_input, self.todd, self._ctx)
+
+    def _chern(self, m: int):
+        if m == 0:
+            return self._ctx.one
+        terms = [((-1) ** (i - 1), i, self.power_tangent, self.chern) for i in range(1, m + 1)]
+        return self._ctx.scale(Fraction(1, m), cauchy_sum(m, terms, self._ctx))
+
+    @property
+    def todd_degrees(self) -> tuple:
+        """Degrees >= 1 whose Todd component ran the exp recurrence."""
+        return tuple(sorted(self._todd_work))
+
+
+@lru_cache(maxsize=None)
+def chow_pipeline(shape: GrassmannShape) -> TangentPipeline:
+    """The per-shape pipeline on the Chow ring; degrees above t vanish."""
+    return TangentPipeline(
+        shape, graded_context(shape), lambda k: k > shape.dim, partial(sigma, shape)
+    )
+
+
 def _cap(shape: GrassmannShape, max_degree: int | None) -> int:
     return shape.dim if max_degree is None else max(0, min(max_degree, shape.dim))
+
+
+def _character(shape: GrassmannShape, rank: int, piece, max_degree) -> BundleCharacter:
+    return BundleCharacter(shape, rank, tuple(piece(m) for m in range(_cap(shape, max_degree) + 1)))
 
 
 def chern_Q(shape: GrassmannShape) -> BundleChern:
@@ -74,43 +176,17 @@ def chern_Q(shape: GrassmannShape) -> BundleChern:
 
 def ch_Q(shape: GrassmannShape, max_degree: int | None = None) -> BundleCharacter:
     """Chern character of Q via Newton power sums of the special classes."""
-    return _ch_Q(shape, _cap(shape, max_degree))
-
-
-@lru_cache(maxsize=None)
-def _ch_Q(shape: GrassmannShape, cap: int) -> BundleCharacter:
-    ctx = graded_context(shape, cap)
-    e = [sigma(shape, m) for m in range(1, shape.cols + 1)]
-    p = power_sums_from_elementary(e, shape.cols, ctx)
-    parts = [scale(shape.cols, unit(shape))]
-    parts += [scale(Fraction(1, factorial(m)), p[m - 1]) for m in range(1, cap + 1)]
-    return BundleCharacter(shape, shape.cols, tuple(parts))
+    return _character(shape, shape.cols, chow_pipeline(shape).ch_q, max_degree)
 
 
 def ch_S(shape: GrassmannShape, max_degree: int | None = None) -> BundleCharacter:
     """Chern character of the subbundle: ch(S) = n - ch(Q) by additivity."""
-    return _ch_S(shape, _cap(shape, max_degree))
-
-
-@lru_cache(maxsize=None)
-def _ch_S(shape: GrassmannShape, cap: int) -> BundleCharacter:
-    q = _ch_Q(shape, cap)
-    parts = [scale(shape.d, unit(shape))]
-    parts += [-p for p in q.parts[1:]]
-    return BundleCharacter(shape, shape.d, tuple(parts))
+    return _character(shape, shape.d, chow_pipeline(shape).ch_s, max_degree)
 
 
 def ch_S_dual(shape: GrassmannShape, max_degree: int | None = None) -> BundleCharacter:
     """Chern character of S*: degree-m component picks up (-1)^m."""
-    return _ch_S_dual(shape, _cap(shape, max_degree))
-
-
-@lru_cache(maxsize=None)
-def _ch_S_dual(shape: GrassmannShape, cap: int) -> BundleCharacter:
-    s = _ch_S(shape, cap)
-    parts = [s.parts[0]]
-    parts += [p if m % 2 == 0 else -p for m, p in enumerate(s.parts[1:], start=1)]
-    return BundleCharacter(shape, shape.d, tuple(parts))
+    return _character(shape, shape.d, chow_pipeline(shape).ch_s_dual, max_degree)
 
 
 @lru_cache(maxsize=None)
@@ -133,55 +209,24 @@ def chern_S_inverse_series(shape: GrassmannShape) -> tuple:
 
 def ch_tangent(shape: GrassmannShape, max_degree: int | None = None) -> BundleCharacter:
     """Chern character of the tangent bundle as the graded product ch(S*)ch(Q)."""
-    return _ch_tangent(shape, _cap(shape, max_degree))
-
-
-@lru_cache(maxsize=None)
-def _ch_tangent(shape: GrassmannShape, cap: int) -> BundleCharacter:
-    sd = _ch_S_dual(shape, cap)
-    q = _ch_Q(shape, cap)
-    parts = []
-    for m in range(cap + 1):
-        acc = zero(shape)
-        for i in range(m + 1):
-            a, b = sd.component(i), q.component(m - i)
-            if a.is_zero() or b.is_zero():
-                continue
-            acc = acc + multiply(a, b)
-        parts.append(acc)
-    return BundleCharacter(shape, shape.d * shape.cols, tuple(parts))
+    return _character(shape, shape.dim, chow_pipeline(shape).ch_tangent, max_degree)
 
 
 def chern_tangent(shape: GrassmannShape, max_degree: int | None = None) -> BundleChern:
     """Chern classes of the tangent bundle, recovered from its character."""
-    return _chern_tangent(shape, _cap(shape, max_degree))
-
-
-@lru_cache(maxsize=None)
-def _chern_tangent(shape: GrassmannShape, cap: int) -> BundleChern:
-    cht = _ch_tangent(shape, cap)
-    p = [scale(factorial(m), cht.component(m)) for m in range(1, cap + 1)]
-    ctx = graded_context(shape, cap)
-    return BundleChern(shape, shape.d * shape.cols, tuple(elementary_from_power_sums(p, ctx)))
+    chern = chow_pipeline(shape).chern
+    cap = _cap(shape, max_degree)
+    return BundleChern(shape, shape.dim, tuple(chern(m) for m in range(1, cap + 1)))
 
 
 def todd_tangent(shape: GrassmannShape, max_degree: int | None = None) -> ChowElement:
     """Todd class of the tangent bundle: exp(sum_m a_m m! ch_m), exact.
 
-    Inhomogeneous, degree-0 part 1, components up to max_degree (default t).
+    Inhomogeneous, degree-0 part 1, components up to max_degree (default t),
+    joined from the pipeline's disjoint graded pieces.
     """
-    return _todd_tangent(shape, _cap(shape, max_degree))
-
-
-@lru_cache(maxsize=None)
-def _todd_tangent(shape: GrassmannShape, cap: int) -> ChowElement:
-    if cap == 0:
-        return unit(shape)
-    cht = _ch_tangent(shape, cap)
-    coeffs = todd_log_coeffs(cap)
-    x = zero(shape)
-    for m in range(1, cap + 1):
-        a = coeffs[m]
-        if a:
-            x = x + scale(a * factorial(m), cht.component(m))
-    return exp_graded(x, graded_context(shape, cap))
+    todd = chow_pipeline(shape).todd
+    terms: dict = {}
+    for k in range(_cap(shape, max_degree) + 1):
+        terms.update(todd(k).terms)
+    return ChowElement(shape, terms)

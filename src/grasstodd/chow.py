@@ -562,30 +562,24 @@ def multiply_mod_h(a: ChowElement, b: ChowElement, hmats: HMatrixSet) -> ChowEle
     return _reduce_terms(a.shape, out, hmats.normal_forms(degree))
 
 
-def graded_context(shape: GrassmannShape, truncation: int | None = None) -> GradedContext:
+def graded_context(shape: GrassmannShape) -> GradedContext:
     """Adapter exposing the Chow ring to the graded series combinators."""
-    limit = shape.dim if truncation is None else min(truncation, shape.dim)
-    return GradedContext(
-        truncation=limit,
-        zero=zero(shape),
-        one=unit(shape),
-        add=lambda a, b: a + b,
-        scale=scale,
-        mul=lambda a, b: multiply(a, b, max_degree=limit),
-        component=lambda a, k: a.component(k),
-    )
+    return _context(shape, multiply)
 
 
 def quotient_context(hmats: HMatrixSet) -> GradedContext:
     """Adapter exposing A/(h) to the graded series combinators: classes are
     canonical representatives and `mul` is `multiply_mod_h`."""
-    shape = hmats.shape
+    return _context(hmats.shape, lambda a, b: multiply_mod_h(a, b, hmats))
+
+
+def _context(shape: GrassmannShape, mul) -> GradedContext:
     return GradedContext(
         truncation=shape.dim,
         zero=zero(shape),
         one=unit(shape),
-        add=lambda a, b: a + b,
+        add=add,
         scale=scale,
-        mul=lambda a, b: multiply_mod_h(a, b, hmats),
-        component=lambda a, k: a.component(k),
+        mul=mul,
+        component=ChowElement.component,
     )

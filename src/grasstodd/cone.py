@@ -8,20 +8,20 @@ the cone is a Roberts ring exactly when every Todd component of degree
 1..t reduces to zero mod h.
 
 Reduction mod h is a ring homomorphism, so the reduced components are
-computed in the quotient A/(h) itself, one degree at a time (`TauStream`).
+computed in the quotient A/(h) itself, one degree at a time, by the same
+tangent-bundle pipeline that builds the Chow-ring classes (`TauStream`).
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
-from .chow import ChowElement, build_h_matrices, quotient_context, reduce_mod_h, scale, sigma
+from .bundles import TangentPipeline
+from .chow import ChowElement, build_h_matrices, quotient_context, reduce_mod_h, sigma
 from .partitions import GrassmannShape
-from .series import cauchy_sum, exp_piece, newton_power_sum, todd_log_coeffs
 
 
 @dataclass(frozen=True)
@@ -54,92 +54,28 @@ class RobertsReport:
         raise KeyError(f"no record for degree {degree}")
 
 
-class _Graded:
-    """A graded sequence in A/(h), each degree computed on first use and kept.
-
-    A degree whose quotient dimension is zero holds zero without running the
-    rule; `computed` lists the degrees whose rule ran.
-    """
-
-    def __init__(self, hmats, zero, rule):
-        self._hmats = hmats
-        self._zero = zero
-        self._rule = rule
-        self._memo: dict = {}
-        self.computed: list = []
-
-    def __call__(self, k: int) -> ChowElement:
-        hit = self._memo.get(k)
-        if hit is None:
-            if self._hmats.quotient_dim(k) == 0:
-                hit = self._zero
-            else:
-                hit = self._rule(k)
-                self.computed.append(k)
-            self._memo[k] = hit
-        return hit
-
-
-class TauStream:
-    """The reduced Todd components of one shape, computed in A/(h).
+class TauStream(TangentPipeline):
+    """The reduced Todd components of one shape: the tangent pipeline run in
+    A/(h).
 
     Every class is a canonical representative mod h and every product is a
-    quotient product (`multiply_mod_h`), so tau_j is the exp recurrence of
-    x_m = a_m * m! * ch_m(T) run in the quotient. m! ch_m of a bundle is the
-    m-th power sum of its Chern roots: for Q the Newton power sum p_m of the
-    special classes, for S* (-1)^(m+1) p_m, with the ranks n-d and d in
-    degree 0, and for T = S* (x) Q the sum over i of C(m, i) times the
-    degree-i one of S* times the degree-(m-i) one of Q.
-
-    Degrees are built only when a record needs them. A degree with zero
-    quotient dimension (a rank certificate, or enumeration for degree 1) is
-    zero in every sequence, with no product and no Todd work; in a product
-    the lower-degree factor comes first and a zero one skips the other.
+    quotient product (`multiply_mod_h`), so tau_j is the pipeline's degree-j
+    Todd piece. Degrees are built only when a record needs them. A degree
+    with zero quotient dimension (a rank certificate, or enumeration for
+    degree 1) is zero in every sequence, with no product and no Todd work.
     """
 
     def __init__(self, shape: GrassmannShape):
-        self.shape = shape
-        self.hmats = build_h_matrices(shape)
-        self._ctx = quotient_context(self.hmats)
-        zero = self._ctx.zero
-        self._e = _Graded(self.hmats, zero, self._elementary)
-        self._pq = _Graded(self.hmats, zero, self._power_sum_q)
-        self._ps = _Graded(self.hmats, zero, self._power_sum_s_dual)
-        self._x = _Graded(self.hmats, zero, self._todd_input)
-        self._y = _Graded(self.hmats, zero, self._todd)
-
-    def _elementary(self, i: int) -> ChowElement:
-        return reduce_mod_h(sigma(self.shape, i), self.hmats)[0]
-
-    def _power_sum_q(self, m: int) -> ChowElement:
-        if m == 0:
-            return scale(self.shape.cols, self._ctx.one)
-        return newton_power_sum(m, self._e, self._pq, self._ctx)
-
-    def _power_sum_s_dual(self, m: int) -> ChowElement:
-        if m == 0:
-            return scale(self.shape.d, self._ctx.one)
-        return scale((-1) ** (m + 1), self._pq(m))
-
-    def _todd_input(self, m: int) -> ChowElement:
-        a = todd_log_coeffs(m)[m]
-        if not a:
-            return self._ctx.zero
-        terms = [(comb(m, i), i, self._ps, self._pq) for i in range(m + 1)]
-        return scale(a, cauchy_sum(m, terms, self._ctx))
-
-    def _todd(self, k: int) -> ChowElement:
-        if k == 0:
-            return self._ctx.one
-        return exp_piece(k, self._x, self._y, self._ctx)
-
-    @property
-    def todd_degrees(self) -> tuple:
-        """Degrees >= 1 whose reduced Todd component ran the exp recurrence."""
-        return tuple(sorted(k for k in self._y.computed if k))
+        self.hmats = hmats = build_h_matrices(shape)
+        super().__init__(
+            shape,
+            quotient_context(hmats),
+            lambda k: hmats.quotient_dim(k) == 0,
+            lambda i: reduce_mod_h(sigma(shape, i), hmats)[0],
+        )
 
     def record(self, j: int) -> TauRecord:
-        rep = self._y(j)
+        rep = self.todd(j)
         return TauRecord(j, self.shape.dim + 1 - j, rep, rep.is_zero())
 
 
@@ -236,6 +172,7 @@ def verdict_table(max_n: int, jobs: int | None = None) -> tuple:
     pairs = [(d, n) for n in range(2, max_n + 1) for d in range(1, n)]
     workers = min(jobs or 1, os.cpu_count() or 1, len(pairs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # looked up here: loading the executor imports multiprocessing
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return tuple(pool.map(_table_entry, pairs))
     return tuple(_table_entry(p) for p in pairs)

@@ -104,7 +104,6 @@ class PfaffianClassification:
     n: int
     generators: int
     height: int
-    dimension_deficit: int
     is_complete_intersection: bool
     is_roberts: bool
 
@@ -128,7 +127,6 @@ def classify_B(m: int, n: int) -> PfaffianClassification:
         n=n,
         generators=generators,
         height=height,
-        dimension_deficit=height,
         is_complete_intersection=generators == height,
         is_roberts=n == 2 * m or m == 1,
     )

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 
 def brute_force_ssyt(lam: tuple, n: int) -> int:
@@ -214,3 +214,66 @@ def eager_tau(todd_terms: dict, bases: list, echelons: dict) -> dict:
                 vec = [v - f * r for v, r in zip(vec, row)]
         out[j] = {lam: v for lam, v in zip(bases[j], vec) if v}
     return out
+
+
+def _bernoulli_numbers(count: int) -> list:
+    """B_0..B_count from sum_{j<=k} binom(k+1, j) B_j = 0."""
+    b = [Fraction(1)]
+    for k in range(1, count + 1):
+        b.append(-sum(comb(k + 1, j) * b[j] for j in range(k)) / (k + 1))
+    return b
+
+
+def eager_tangent_classes(shape) -> dict:
+    """Every tangent-bundle class of a Grassmannian, by textbook loops over
+    `grasstodd.multiply` and `grasstodd.sigma`.
+
+    ch(Q) from Newton's identities in the special classes; ch(S) = d - ch(Q)
+    and ch_m(S*) = (-1)^m ch_m(S); ch(T) = ch(S*) ch(Q) degree by degree;
+    c(T) from Newton's identities run backwards on i! ch_i(T); td(T) as the
+    series exp(X) = sum_k X^k / k! with X = sum_m x_m, x_m = a_m m! ch_m(T),
+    taken as the product over m of the exp series of x_m (sparsest first);
+    a_1 = 1/2 and
+    a_m = -B_m / (m m!) are the coefficients of log(x / (1 - e^(-x))).
+
+    Returns lists indexed by degree 0..t ("ch_Q", "ch_S", "ch_S_dual",
+    "ch_tangent"; "chern_tangent" from c_0 = 1) and the whole Todd class
+    ("todd").
+    """
+    from grasstodd import multiply, scale, sigma, unit, zero
+
+    t, d, cols = shape.dim, shape.d, shape.cols
+    power_q = [scale(cols, unit(shape))]
+    for m in range(1, t + 1):
+        acc = scale((-1) ** (m - 1) * m, sigma(shape, m))
+        for i in range(1, m):
+            acc = acc + scale((-1) ** (i - 1), multiply(sigma(shape, i), power_q[m - i]))
+        power_q.append(acc)
+    ch_q = [scale(Fraction(1, factorial(m)), p) for m, p in enumerate(power_q)]
+    ch_s = [scale(d, unit(shape))] + [-c for c in ch_q[1:]]
+    ch_s_dual = [scale((-1) ** m, c) for m, c in enumerate(ch_s)]
+    ch_t = []
+    for m in range(t + 1):
+        acc = zero(shape)
+        for i in range(m + 1):
+            acc = acc + multiply(ch_s_dual[i], ch_q[m - i])
+        ch_t.append(acc)
+    chern = [unit(shape)]
+    for m in range(1, t + 1):
+        acc = zero(shape)
+        for i in range(1, m + 1):
+            acc = acc + scale((-1) ** (i - 1) * factorial(i), multiply(ch_t[i], chern[m - i]))
+        chern.append(scale(Fraction(1, m), acc))
+    bern = _bernoulli_numbers(t)
+    todd = unit(shape)
+    for m in range(t, 0, -1):
+        a = Fraction(1, 2) if m == 1 else -bern[m] / (m * factorial(m))
+        x = scale(a * factorial(m), ch_t[m])
+        # exp of a sum of commuting classes is the product of their exps
+        factor, term = unit(shape), unit(shape)
+        for k in range(1, t // m + 1):
+            term = scale(Fraction(1, k), multiply(term, x))
+            factor = factor + term
+        todd = multiply(todd, factor)
+    return {"ch_Q": ch_q, "ch_S": ch_s, "ch_S_dual": ch_s_dual, "ch_tangent": ch_t,
+            "chern_tangent": chern, "todd": todd}

@@ -9,6 +9,7 @@ Plucker line bundle reproduces the tableau count of sections.
 from fractions import Fraction
 from math import comb, factorial
 
+import grasstodd.chow as chow_module
 from grasstodd import (
     GrassmannShape,
     ch_Q,
@@ -29,8 +30,10 @@ from grasstodd import (
     unit,
     zero,
 )
+from grasstodd.bundles import chow_pipeline
 from grasstodd.chow import graded_context
 from grasstodd.series import exp_graded
+from oracles import eager_tangent_classes
 
 SHAPES = [GrassmannShape(d, n) for n in range(4, 9) for d in range(2, n - 1)]
 
@@ -185,3 +188,49 @@ def test_component_out_of_range_is_zero():
     assert chern_Q(s).component(99).is_zero()
     assert ch_Q(s).component(0) == scale(3, unit(s))
     assert len(ch_Q(s).ch) == s.dim
+
+
+def check_against_oracle(s, oracle, cap):
+    top = s.dim if cap is None else cap
+    want_todd = {lam: c for lam, c in oracle["todd"].terms.items() if sum(lam) <= top}
+    assert todd_tangent(s, cap).terms == want_todd, (s, cap)
+    ct = chern_tangent(s, cap)
+    assert (ct.rank, ct.c) == (s.dim, tuple(oracle["chern_tangent"][1 : top + 1])), (s, cap)
+    for fn, rank in ((ch_Q, s.cols), (ch_S, s.d), (ch_S_dual, s.d), (ch_tangent, s.dim)):
+        got = fn(s, cap)
+        assert (got.rank, got.parts) == (rank, tuple(oracle[fn.__name__][: top + 1])), (s, cap)
+
+
+def test_every_cap_matches_textbook_oracle_in_both_fill_orders():
+    # the per-shape pipeline keeps no state that depends on a cap: each
+    # truncation equals the oracle whether it or the full class came first
+    for n in range(2, 9):
+        for d in range(1, n):
+            s = GrassmannShape(d, n)
+            oracle = eager_tangent_classes(s)
+            chow_pipeline.cache_clear()
+            check_against_oracle(s, oracle, None)
+            for cap in range(s.dim + 1):
+                check_against_oracle(s, oracle, cap)
+            for cap in range(s.dim + 1):
+                chow_pipeline.cache_clear()
+                check_against_oracle(s, oracle, cap)
+                check_against_oracle(s, oracle, None)
+
+
+def test_warm_repeat_does_no_arithmetic(monkeypatch):
+    calls = []
+    for name in ("add", "scale", "multiply"):
+        fn = getattr(chow_module, name)
+        monkeypatch.setattr(chow_module, name,
+                            lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
+    s = GrassmannShape(3, 6)
+    chow_pipeline.cache_clear()  # the next pipeline's ring hooks are the spies
+    queries = [(fn, cap) for cap in (3, None, 1)
+               for fn in (todd_tangent, chern_tangent, ch_tangent, ch_Q, ch_S, ch_S_dual)]
+    first = [fn(s, cap) for fn, cap in queries]
+    assert {"add", "scale", "multiply"} <= set(calls)
+    calls.clear()
+    assert [fn(s, cap) for fn, cap in queries] == first
+    assert calls == []
+    chow_pipeline.cache_clear()

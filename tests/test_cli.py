@@ -241,6 +241,17 @@ def test_json_round_trip_byte_identical(capsys):
         assert again == out.strip()
 
 
+def test_pfaffian_classify_json_fields(capsys):
+    code, doc = run_json(capsys, "pfaffian", "classify", "2", "5", "--json")
+    assert code == 1
+    assert doc["result"] == {
+        "generators": "5",
+        "height": "3",
+        "is_complete_intersection": False,
+        "is_roberts": False,
+    }
+
+
 def test_json_and_text_agree_on_verdict(capsys):
     code_t, out_t, _ = run(capsys, "roberts", "2", "6")
     code_j, doc = run_json(capsys, "roberts", "2", "6", "--json")
@@ -268,6 +279,14 @@ def test_console_script_installed():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["result"]["roberts"] is True
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # the process pool, and with it multiprocessing, loads only when a table starts one
+    probe = "import sys, grasstodd.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_main_reuses_one_parser_without_leaking_state(capsys, monkeypatch):

@@ -4,10 +4,12 @@ The classification being tested: the cone over G_d(n) is Roberts exactly
 for d = 1, d = n-1, and the two exceptional middle cases (2,4) and (3,6).
 """
 
+import concurrent.futures
 from fractions import Fraction
 
 import pytest
 
+import grasstodd.bundles as bundles_module
 import grasstodd.cone as cone_module
 from grasstodd import (
     GrassmannShape,
@@ -22,11 +24,10 @@ from grasstodd import (
     scale,
     sigma,
     tau_components,
-    todd_tangent,
     verdict_table,
 )
-from grasstodd.bundles import _ch_tangent
-from oracles import eager_h_echelons, eager_tau
+from grasstodd.bundles import chow_pipeline
+from oracles import eager_h_echelons, eager_tangent_classes, eager_tau
 
 
 def expected_roberts(d: int, n: int) -> bool:
@@ -87,7 +88,8 @@ def test_tau_stream_matches_eager_oracle():
         for d in range(1, n):
             s = GrassmannShape(d, n)
             bases = [enumerate_box(s, i) for i in range(s.dim + 1)]
-            want = eager_tau(todd_tangent(s).terms, bases, eager_h_echelons(bases, d, n - d))
+            todd = eager_tangent_classes(s)["todd"]
+            want = eager_tau(todd.terms, bases, eager_h_echelons(bases, d, n - d))
             stream = TauStream(s)
             for j in range(1, s.dim + 1):
                 rec = stream.record(j)
@@ -110,10 +112,11 @@ def test_verdict_on_projective_spaces_needs_only_rank_certificates(monkeypatch):
             return fn(*args)
         return wrapped
 
+    # the pipeline's rules look these up in the bundles module's globals
     for name in ("cauchy_sum", "exp_piece", "newton_power_sum"):
-        monkeypatch.setattr(cone_module, name, spy(getattr(cone_module, name)))
+        monkeypatch.setattr(bundles_module, name, spy(getattr(bundles_module, name)))
     build_h_matrices.cache_clear()
-    _ch_tangent.cache_clear()
+    chow_pipeline.cache_clear()
     for n in range(2, 13):
         for d in (1, n - 1):
             s = GrassmannShape(d, n)
@@ -122,7 +125,11 @@ def test_verdict_on_projective_spaces_needs_only_rank_certificates(monkeypatch):
             # every degree but the first certified by a 1x1 rank, degree 1 by enumeration
             assert build_h_matrices(s).built == tuple(range(2, s.dim + 1))
     assert calls == []
-    assert _ch_tangent.cache_info().misses == 0
+    assert chow_pipeline.cache_info().misses == 0
+    # positive control: the same spies see the Todd work of G(2,4)
+    roberts_verdict(GrassmannShape(2, 4), mode="verdict")
+    assert {"cauchy_sum", "exp_piece", "newton_power_sum"} <= set(calls)
+    assert chow_pipeline.cache_info().misses == 0
 
 
 def test_todd_work_stops_at_top_nonzero_quotient_degree():
@@ -242,7 +249,7 @@ def test_verdict_table_clamps_pool_size(monkeypatch):
             return map(fn, items)
 
     seq = verdict_table(4)  # 6 shapes
-    monkeypatch.setattr(cone_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cone_module.os, "cpu_count", lambda: 64)
     assert verdict_table(4, jobs=5000) == seq
     assert verdict_table(4, jobs=4) == seq

@@ -80,7 +80,6 @@ def test_classify_counts():
     out = classify_B(2, 5)
     assert out.generators == 5
     assert out.height == 3
-    assert out.dimension_deficit == 3
     assert not out.is_complete_intersection
     assert not out.is_roberts
 
