@@ -22,7 +22,7 @@ from math import comb, factorial
 
 from .chow import ChowElement, graded_context, pieri, sigma, unit, zero
 from .partitions import GrassmannShape
-from .series import GradedContext, cauchy_sum, exp_piece, newton_power_sum, todd_log_coeffs
+from .series import GradedContext, cauchy_sum, exp_piece, newton_power_sum, todd_log_coeff
 
 
 @dataclass(frozen=True)
@@ -128,9 +128,7 @@ class TangentPipeline:
         return cauchy_sum(m, terms, self._ctx)
 
     def _todd_input(self, m: int):
-        # the series up to the next power of two: a verdict reads only low
-        # degrees, and a whole class computes it O(log t) times, not t times
-        a = todd_log_coeffs(min(1 << (m - 1).bit_length(), self.shape.dim))[m]
+        a = todd_log_coeff(m)
         return self._ctx.scale(a, self.power_tangent(m)) if a else self._ctx.zero
 
     def _todd(self, k: int):

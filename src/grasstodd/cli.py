@@ -272,8 +272,7 @@ def cmd_bundle(args) -> int:
     hm = build_h_matrices(shape) if args.mod_h else None
 
     if args.which == "todd":
-        td = todd_tangent(shape, max_degree=cap)
-        rows = [(k, td.component(k)) for k in range(cap + 1)]
+        rows = list(enumerate(todd_tangent(shape, max_degree=cap).components(cap)))
     elif args.which == "ch":
         cht = ch_tangent(shape, max_degree=cap)
         rows = [(k, cht.component(k)) for k in range(cap + 1)]
@@ -340,6 +339,9 @@ def cmd_pfaffian(args) -> int:
         raise UsageError(f"malformed matrix file: {exc}") from None
     if k < 0 or len(vals) != k * k:
         raise UsageError(f"expected {k}x{k} entries after the size line")
+    extra = len(tokens) - 1 - k * k
+    if extra:
+        raise UsageError(f"{extra} extra token(s) after the {k}x{k} entries")
     rows = [vals[i * k : (i + 1) * k] for i in range(k)]
     try:
         z = AntisymmetricMatrix.from_rows(rows)

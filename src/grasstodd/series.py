@@ -49,32 +49,6 @@ def bernoulli(k: int) -> Fraction:
     return -acc / (k + 1)
 
 
-# -- scalar power series (dense lists of Fractions, index = exponent) --------
-
-
-def _series_reciprocal(a: list, trunc: int) -> list:
-    if a[0] != 1:
-        raise ValueError("reciprocal needs constant term 1")
-    r = [Fraction(0)] * (trunc + 1)
-    r[0] = Fraction(1)
-    for k in range(1, trunc + 1):
-        r[k] = -sum(a[i] * r[k - i] for i in range(1, min(k, len(a) - 1) + 1))
-    return r
-
-
-def _series_log(a: list, trunc: int) -> list:
-    # l' * a = a'  =>  l_k = a_k - (1/k) * sum_{i<k} i * l_i * a_{k-i}
-    if a[0] != 1:
-        raise ValueError("log needs constant term 1")
-    out = [Fraction(0)] * (trunc + 1)
-    for k in range(1, trunc + 1):
-        s = k * a[k]
-        for i in range(1, k):
-            s -= i * out[i] * a[k - i]
-        out[k] = s / k
-    return out
-
-
 @dataclass(frozen=True)
 class ToddLogCoeffs:
     """Coefficients a_m of log(x / (1 - e^{-x})), so td = exp(sum a_m m! ch_m)."""
@@ -88,19 +62,22 @@ class ToddLogCoeffs:
         return self.a[m]
 
 
+def todd_log_coeff(m: int) -> Fraction:
+    """a_m of log(x / (1 - e^{-x})): a_0 = 0 and a_m = -B_m / (m * m!)."""
+    return -bernoulli(m) / (m * factorial(m)) if m else Fraction(0)
+
+
 @lru_cache(maxsize=None)
 def todd_log_coeffs(trunc: int) -> ToddLogCoeffs:
     """Formal log of x/(1 - e^{-x}) up to the given degree, exact.
 
-    Computed by series reciprocal and logarithm; a_1 = 1/2 and the odd
-    coefficients a_3, a_5, ... all vanish (the series minus x/2 is even).
+    By the closed form a_m = -B_m / (m * m!) over the cached Bernoulli
+    numbers; a_1 = 1/2 and the odd coefficients a_3, a_5, ... all vanish
+    (the series minus x/2 is even).
     """
     if trunc < 1:
         raise ValueError("truncation must be at least 1")
-    # (1 - e^{-x}) / x = sum_k (-1)^k x^k / (k+1)!
-    denom = [Fraction((-1) ** k, factorial(k + 1)) for k in range(trunc + 1)]
-    q = _series_reciprocal(denom, trunc)
-    return ToddLogCoeffs(trunc, tuple(_series_log(q, trunc)))
+    return ToddLogCoeffs(trunc, tuple(todd_log_coeff(m) for m in range(trunc + 1)))
 
 
 # -- lazy graded sums of products --------------------------------------------

@@ -119,6 +119,30 @@ def matching_sum_pfaffian(entries) -> Fraction:
     return rec(tuple(range(size)))
 
 
+def expansion_pfaffian(entries) -> Fraction:
+    """Expansion along the first remaining index, memoized over index
+    subsets: O(2^k), the engine's former Pfaffian."""
+    if len(entries) % 2:
+        return Fraction(0)
+    memo: dict = {(): Fraction(1)}
+
+    def pf(idx: tuple) -> Fraction:
+        hit = memo.get(idx)
+        if hit is not None:
+            return hit
+        first = idx[0]
+        acc = Fraction(0)
+        for pos in range(1, len(idx)):
+            c = entries[first][idx[pos]]
+            if c:
+                rest = idx[1:pos] + idx[pos + 1:]
+                acc += c * pf(rest) if pos % 2 else -c * pf(rest)
+        memo[idx] = acc
+        return acc
+
+    return pf(tuple(range(len(entries))))
+
+
 def horizontal_strip(lam: tuple, mu: tuple) -> bool:
     """mu/lam is a horizontal strip: containment, no two new cells stacked."""
     lam = tuple(lam)
@@ -134,10 +158,14 @@ def horizontal_strip(lam: tuple, mu: tuple) -> bool:
     return True
 
 
-def random_antisymmetric(rng, size: int) -> list:
+def random_antisymmetric(rng, size: int, zero_share: float = 0.0) -> list:
+    """Random rational antisymmetric matrix; about `zero_share` of the
+    entries above the diagonal are forced to zero."""
     rows = [[Fraction(0)] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
+            if zero_share and rng.random() < zero_share:
+                continue
             v = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
             rows[i][j], rows[j][i] = v, -v
     return rows
@@ -222,6 +250,24 @@ def _bernoulli_numbers(count: int) -> list:
     for k in range(1, count + 1):
         b.append(-sum(comb(k + 1, j) * b[j] for j in range(k)) / (k + 1))
     return b
+
+
+def series_todd_log_coeffs(trunc: int) -> list:
+    """a_0..a_trunc of log(x / (1 - e^(-x))) by dense power-series
+    arithmetic: the reciprocal of (1 - e^(-x)) / x, then its logarithm."""
+    # (1 - e^(-x)) / x = sum_k (-1)^k x^k / (k+1)!
+    a = [Fraction((-1) ** k, factorial(k + 1)) for k in range(trunc + 1)]
+    q = [Fraction(1)] + [Fraction(0)] * trunc
+    for k in range(1, trunc + 1):
+        q[k] = -sum(a[i] * q[k - i] for i in range(1, k + 1))
+    # l' q = q'  =>  l_k = q_k - (1/k) sum_{0<i<k} i l_i q_(k-i)
+    out = [Fraction(0)] * (trunc + 1)
+    for k in range(1, trunc + 1):
+        s = k * q[k]
+        for i in range(1, k):
+            s -= i * out[i] * q[k - i]
+        out[k] = s / k
+    return out
 
 
 def eager_tangent_classes(shape) -> dict:

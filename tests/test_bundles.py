@@ -234,3 +234,16 @@ def test_warm_repeat_does_no_arithmetic(monkeypatch):
     assert [fn(s, cap) for fn, cap in queries] == first
     assert calls == []
     chow_pipeline.cache_clear()
+
+
+def test_todd_components_split_in_one_pass():
+    # `bundle --todd` prints these pieces; same terms in the same order as
+    # component(k), so the output bytes cannot move
+    for s in SHAPES:
+        td = todd_tangent(s)
+        for top in (0, 3, s.dim):
+            pieces = td.components(top)
+            assert len(pieces) == top + 1
+            for k, piece in enumerate(pieces):
+                want = td.component(k)
+                assert piece == want and list(piece.terms) == list(want.terms), (s, k)

@@ -1,10 +1,16 @@
 """Command-line behavior: exit codes, text output, canonical JSON."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import grasstodd.cli as cli_module
 from grasstodd.cli import main, parse_partition
@@ -202,6 +208,69 @@ def test_pfaffian_eval_bad_file(tmp_path, capsys):
     assert "negative" in err
     code, _, err = run(capsys, "pfaffian", "eval", str(tmp_path / "missing.txt"))
     assert code == 2
+
+
+def test_pfaffian_eval_rejects_extra_tokens(tmp_path, capsys):
+    f = tmp_path / "long.txt"
+    f.write_text("2\n0 1\n-1 0\n7 8 9\n")
+    code, out, err = run(capsys, "pfaffian", "eval", str(f))
+    assert (code, out) == (2, "")
+    assert "3 extra token(s)" in err
+
+
+def run_quiet(argv):
+    """main() with stdout and stderr captured, usable inside @given."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+NUMBER = st.builds(lambda p, q: f"{p}/{q}" if q > 1 else str(p),
+                   st.integers(-9, 9), st.integers(1, 4))
+BAD_TOKEN = st.sampled_from(["1/0", "x", "1/", "/2", "--3", "1//2", "0x1", "nan", "1.2.3"])
+
+
+@st.composite
+def bad_matrix_files(draw):
+    """Matrix-file text that `pfaffian eval` must reject with exit 2."""
+    kind = draw(st.sampled_from(["size", "count", "token", "skew"]))
+    if kind == "size":
+        head = draw(st.one_of(
+            BAD_TOKEN, st.integers(-5, -1).map(str), st.sampled_from(["2.0", "1/2", "k", "+"])))
+        tail = draw(st.lists(NUMBER, max_size=6))
+        return " ".join([head, *tail])
+    k = draw(st.integers(0, 4))
+    if kind == "count":
+        # short or long by at least one token
+        n = draw(st.integers(0, k * k + 4).filter(lambda n: n != k * k))
+        return f"{k}\n" + " ".join(draw(st.lists(NUMBER, min_size=n, max_size=n)))
+    upper = draw(st.lists(NUMBER, min_size=k * k, max_size=k * k))
+    rows = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            rows[i][j] = Fraction(upper[i * k + j])
+            rows[j][i] = -rows[i][j]
+    cells = [str(x) for row in rows for x in row]
+    if kind == "token" and cells:
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(BAD_TOKEN)
+    elif kind == "skew" and k:
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        cells[i * k + j] = str(rows[i][j] + draw(st.integers(1, 5)))
+    else:
+        cells.append(draw(NUMBER))  # k = 0: the only way to go wrong is a long file
+    return f"{k}\n" + " ".join(cells) + "\n"
+
+
+@given(text=bad_matrix_files(), as_json=st.booleans())
+def test_pfaffian_eval_fuzzed_bad_files_exit_2(text, as_json):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "z.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, out, err = run_quiet(["pfaffian", "eval", path] + (["--json"] if as_json else []))
+    assert (code, out) == (2, ""), text
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # -- JSON output --------------------------------------------------------------

@@ -13,7 +13,22 @@ from grasstodd import (
     determinant,
     pfaffian,
 )
-from oracles import matching_sum_pfaffian, random_antisymmetric
+from grasstodd.pfaffian import _exact_div
+from oracles import (
+    exact_determinant,
+    expansion_pfaffian,
+    matching_sum_pfaffian,
+    random_antisymmetric,
+)
+
+
+def _sparse_cases(rng, sizes, per_size):
+    """Random antisymmetric matrices of each size, dense and with zero
+    entries that force pivot swaps, plus the all-zero one."""
+    for size in sizes:
+        yield [[Fraction(0)] * size for _ in range(size)]
+        for n in range(per_size):
+            yield random_antisymmetric(rng, size, zero_share=(0.0, 0.5, 0.8)[n % 3])
 
 
 def test_from_rows_validation():
@@ -49,11 +64,9 @@ def test_pfaffian_4x4_closed_form():
 
 
 def test_pfaffian_matches_matching_sum(rng):
-    for size in (2, 4, 6):
-        for _ in range(12):
-            rows = random_antisymmetric(rng, size)
-            z = AntisymmetricMatrix.from_rows(rows)
-            assert pfaffian(z) == matching_sum_pfaffian(rows)
+    for rows in _sparse_cases(rng, range(0, 11), 6):
+        z = AntisymmetricMatrix.from_rows(rows)
+        assert pfaffian(z) == matching_sum_pfaffian(rows), rows
 
 
 def test_pfaffian_squares_to_determinant(rng):
@@ -108,3 +121,64 @@ def test_cross_check_against_cone_verdicts():
         assert cross_check_B2(n), n
     with pytest.raises(ValueError):
         cross_check_B2(3)
+
+
+# -- the fraction-free fast paths against the slow paths -----------------------
+
+
+def test_pfaffian_matches_expansion(rng):
+    for rows in _sparse_cases(rng, range(0, 15), 9):
+        z = AntisymmetricMatrix.from_rows(rows)
+        assert pfaffian(z) == expansion_pfaffian(rows), rows
+
+
+def test_pfaffian_pivot_swap_sign():
+    # a_01 = 0 forces the swap of indices 1 and 2; Pf = a01 a23 - a02 a13 + a03 a12
+    rows = [[0, 0, 2, 3], [0, 0, 5, 7], [-2, -5, 0, 0], [-3, -7, 0, 0]]
+    assert pfaffian(AntisymmetricMatrix.from_rows(rows)) == -2 * 7 + 3 * 5
+    assert expansion_pfaffian([[Fraction(x) for x in r] for r in rows]) == 1
+
+
+def _random_square(rng, size, zero_share):
+    def entry():
+        if rng.random() < zero_share:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    return [[entry() for _ in range(size)] for _ in range(size)]
+
+
+def test_determinant_matches_elimination_oracle(rng):
+    for size in range(0, 9):
+        for n in range(9):
+            rows = _random_square(rng, size, (0.0, 0.5, 0.8)[n % 3])
+            if size and n == 3:
+                rows[0][0] = Fraction(0)  # zero leading entry: row swap
+            if size > 1 and n in (4, 5):
+                rows[-1] = [2 * x for x in rows[0]]  # singular: dependent rows
+            if size and n == 6:
+                for row in rows:
+                    row[size // 2] = Fraction(0)  # singular: zero column
+            assert determinant(rows) == exact_determinant(rows), rows
+
+
+def test_determinant_singular_and_integer_inputs():
+    assert determinant([]) == 1
+    assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([[1, 2], [2, 4]]) == 0
+    assert determinant([["1/2", 0], [0, "2/3"]]) == Fraction(1, 3)
+
+
+def test_pfaffian_squares_to_determinant_at_size_40(rng):
+    # far beyond what the O(2^k) expansion could finish
+    for zero_share in (0.0, 0.6):
+        rows = random_antisymmetric(rng, 40, zero_share=zero_share)
+        pf = pfaffian(AntisymmetricMatrix.from_rows(rows))
+        assert pf ** 2 == determinant(rows)
+        assert pf != 0 or zero_share
+
+
+def test_inexact_division_raises():
+    assert _exact_div(-12, 4) == -3
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        _exact_div(7, 2)

@@ -20,6 +20,7 @@ from grasstodd import (
     power_sums_from_elementary,
     todd_log_coeffs,
 )
+from oracles import series_todd_log_coeffs
 
 
 def test_bernoulli_values():
@@ -54,6 +55,12 @@ def test_todd_log_coeffs_closed_form():
     assert a[2] == Fraction(-1, 24)
     assert a[4] == Fraction(1, 2880)
     assert all(a[m] == 0 for m in (3, 5, 7, 9))
+
+
+def test_todd_log_coeffs_match_series_arithmetic():
+    # the closed form against the reciprocal and logarithm of the series
+    for trunc in (1, 2, 7, 16, 36):
+        assert list(todd_log_coeffs(trunc).a) == series_todd_log_coeffs(trunc)
 
 
 def test_todd_log_coeffs_bounds():
