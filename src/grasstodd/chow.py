@@ -48,15 +48,6 @@ class ChowElement:
         picked = {lam: c for lam, c in self.terms.items() if sum(lam) == degree}
         return ChowElement(self.shape, picked)
 
-    def components(self, top: int) -> tuple:
-        """Graded pieces of degrees 0..top, split in one pass over the terms."""
-        picked = [{} for _ in range(top + 1)]
-        for lam, c in self.terms.items():
-            w = sum(lam)
-            if w <= top:
-                picked[w][lam] = c
-        return tuple(ChowElement(self.shape, t) for t in picked)
-
     def degrees(self) -> tuple[int, ...]:
         """Sorted weights occurring in the support."""
         return tuple(sorted({sum(lam) for lam in self.terms}))

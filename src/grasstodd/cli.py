@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import __version__
-from .bundles import ch_tangent, chern_tangent, todd_tangent
+from .bundles import chow_pipeline
 from .chow import (
     ChowElement,
     NonHomogeneousError,
@@ -271,14 +271,11 @@ def cmd_bundle(args) -> int:
         raise UsageError(f"--max-degree must lie in [0, {shape.dim}]")
     hm = build_h_matrices(shape) if args.mod_h else None
 
-    if args.which == "todd":
-        rows = list(enumerate(todd_tangent(shape, max_degree=cap).components(cap)))
-    elif args.which == "ch":
-        cht = ch_tangent(shape, max_degree=cap)
-        rows = [(k, cht.component(k)) for k in range(cap + 1)]
-    else:
-        ct = chern_tangent(shape, max_degree=cap)
-        rows = [(k, ct.component(k)) for k in range(1, cap + 1)]
+    # the pipeline's graded pieces, read one degree at a time
+    pipe = chow_pipeline(shape)
+    piece = {"todd": pipe.todd, "ch": pipe.ch_tangent, "chern": pipe.chern}[args.which]
+    first = 1 if args.which == "chern" else 0
+    rows = [(k, piece(k)) for k in range(first, cap + 1)]
 
     out = []
     for k, cls in rows:

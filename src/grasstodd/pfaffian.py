@@ -9,14 +9,15 @@ Roberts ring: exactly for n = 2m or m = 1.
 Pfaffians and determinants of rational matrices are exact and O(k^3):
 fraction-free elimination on Python ints (a skew Bareiss step for the
 Pfaffian, Bareiss for the determinant), with every division checked to be
-exact, and one division by a power of the common denominator at the end.
+exact, and one division by the denominators cleared at the start. The two
+share only that check, so Pf^2 = det tests each against the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 
 from .cone import roberts_verdict
 from .partitions import GrassmannShape
@@ -59,12 +60,6 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _cleared(rows) -> tuple:
-    """The integer matrix D * rows and D, the lcm of the entry denominators."""
-    scale = lcm(*(q.denominator for row in rows for q in row))
-    return [[q.numerator * (scale // q.denominator) for q in row] for row in rows], scale
-
-
 def pfaffian(z: AntisymmetricMatrix) -> Fraction:
     """Pfaffian by fraction-free skew elimination, O(k^3), exact.
 
@@ -84,7 +79,8 @@ def pfaffian(z: AntisymmetricMatrix) -> Fraction:
     k = z.size
     if k % 2:
         return Fraction(0)
-    m, scale = _cleared(z.entries)
+    scale = lcm(*(q.denominator for row in z.entries for q in row))
+    m = [[q.numerator * (scale // q.denominator) for q in row] for row in z.entries]
     sign, prev = 1, 1
     while m:
         p = next((j for j, x in enumerate(m[0]) if x), None)
@@ -113,18 +109,20 @@ def pfaffian(z: AntisymmetricMatrix) -> Fraction:
 def determinant(rows) -> Fraction:
     """Exact determinant of a square rational matrix, O(k^3).
 
-    Fraction-free Bareiss elimination on the matrix scaled to integers by
-    D, the lcm of its denominators: with row swaps for a nonzero pivot,
-    a'_rj = (p a_rj - a_rc a_cj) / p_prev is a minor of the scaled matrix,
-    so each division is exact, and checked. The last pivot, signed, is
-    det(D rows) = D^k det(rows). Independent of `pfaffian`, so Pf^2 = det
+    Fraction-free Bareiss elimination on the matrix with each row scaled
+    to integers by the lcm of its own denominators: with row swaps for a
+    nonzero pivot, a'_rj = (p a_rj - a_rc a_cj) / p_prev is a minor of the
+    scaled matrix, so each division is exact, and checked. The last pivot,
+    signed, is det(rows) times the product of the row scales. Neither the
+    scaling nor the elimination is shared with `pfaffian`, so Pf^2 = det
     is a real check.
     """
     m = [[Fraction(x) for x in row] for row in rows]
     size = len(m)
     if any(len(row) != size for row in m):
         raise ValueError("determinant needs a square matrix")
-    m, scale = _cleared(m)
+    scales = [lcm(*(q.denominator for q in row)) for row in m]
+    m = [[q.numerator * (s // q.denominator) for q in row] for row, s in zip(m, scales)]
     sign, prev = 1, 1
     for c in range(size):
         p = next((r for r in range(c, size) if m[r][c]), None)
@@ -139,7 +137,7 @@ def determinant(rows) -> Fraction:
             for j in range(c + 1, size):
                 row[j] = _exact_div(pivot * row[j] - f * top[j], prev)
         prev = pivot
-    return Fraction(sign * prev, scale ** size)
+    return Fraction(sign * prev, prod(scales))
 
 
 @dataclass(frozen=True)

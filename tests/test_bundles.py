@@ -236,14 +236,16 @@ def test_warm_repeat_does_no_arithmetic(monkeypatch):
     chow_pipeline.cache_clear()
 
 
-def test_todd_components_split_in_one_pass():
-    # `bundle --todd` prints these pieces; same terms in the same order as
-    # component(k), so the output bytes cannot move
+def test_pipeline_pieces_match_the_joined_classes():
+    # `bundle` prints the pipeline's pieces; same terms in the same order as
+    # the components of the public classes, so the output bytes cannot move
     for s in SHAPES:
-        td = todd_tangent(s)
-        for top in (0, 3, s.dim):
-            pieces = td.components(top)
-            assert len(pieces) == top + 1
-            for k, piece in enumerate(pieces):
-                want = td.component(k)
+        pipe = chow_pipeline(s)
+        td, cht, ct = todd_tangent(s), ch_tangent(s), chern_tangent(s)
+        for k in range(s.dim + 1):
+            for piece, want in (
+                (pipe.todd(k), td.component(k)),
+                (pipe.ch_tangent(k), cht.component(k)),
+                (pipe.chern(k), ct.component(k) if k else unit(s)),
+            ):
                 assert piece == want and list(piece.terms) == list(want.terms), (s, k)

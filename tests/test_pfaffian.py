@@ -64,6 +64,11 @@ def test_pfaffian_4x4_closed_form():
 
 
 def test_pfaffian_matches_matching_sum(rng):
+    for size in (2, 4, 6):
+        for _ in range(12):
+            rows = random_antisymmetric(rng, size)
+            z = AntisymmetricMatrix.from_rows(rows)
+            assert pfaffian(z) == matching_sum_pfaffian(rows)
     for rows in _sparse_cases(rng, range(0, 11), 6):
         z = AntisymmetricMatrix.from_rows(rows)
         assert pfaffian(z) == matching_sum_pfaffian(rows), rows
