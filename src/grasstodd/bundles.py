@@ -4,10 +4,11 @@ Chern classes and Chern characters of the quotient bundle Q, the subbundle
 S and its dual, and of the tangent bundle T = S* (x) Q, together with the
 Todd class of the tangent bundle — everything as exact Schubert-basis classes.
 
-`TangentPipeline` builds these classes one degree at a time in a graded
-ring. `chow_pipeline(shape)` is its per-shape instance on the Chow ring,
-and every constructor here reads a prefix of its degrees; `cone.TauStream`
-is the instance on the quotient A/(h).
+`TangentPipeline` builds these classes one degree at a time from the
+power-sum action of the Chern characters. `chow_pipeline(shape)` is its
+per-shape instance on the Chow ring, and every constructor here reads a
+prefix of its degrees; `cone.TauStream` is the instance whose classes are
+reduced modulo h.
 
 All constructors accept `max_degree` to truncate the computation early;
 the default carries every class up to the top degree t = d(n-d).
@@ -18,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial
+from math import factorial
 
-from .chow import ChowElement, graded_context, pieri, sigma, unit, zero
+from .chow import ChowElement, ring, scale, sigma, unit, zero
 from .partitions import GrassmannShape
-from .series import GradedContext, cauchy_sum, exp_piece, newton_power_sum, todd_log_coeff
+from .series import todd_log_coeff
 
 
 @dataclass(frozen=True)
@@ -62,99 +63,93 @@ class BundleChern:
 
 
 class TangentPipeline:
-    """The tangent-bundle classes of one shape in a graded ring, one degree
-    at a time.
+    """The tangent-bundle classes of one shape, one degree at a time.
 
-    m! ch_m of a bundle is the m-th power sum of its Chern roots: for Q the
-    Newton power sum p_m of the special classes, for S* (-1)^(m+1) p_m, with
-    the ranks n-d and d in degree 0, and for T = S* (x) Q the sum over i of
-    C(m, i) times the degree-i one of S* times the degree-(m-i) one of Q.
-    The Todd class is the exp recurrence of x_m = a_m * m! ch_m(T), and the
-    Chern classes of T invert Newton's identities:
-    c_m = (1/m) sum_i (-1)^(i-1) i! ch_i(T) c_(m-i).
+    m! ch_m of a bundle is the m-th power sum of its Chern roots. For S* it
+    is p_m times the unit, by the Murnaghan-Nakayama step
+    (`_Ring.power_sum`); for Q it is (-1)^(m+1) p_m; the ranks d and n-d
+    sit in degree 0. m! ch_m(T) acts on a class through
+    `_Ring.tangent_power_sum`. The Todd and the Chern classes of T share
+    one recurrence over that action,
+        y_k = (1/k) sum_j w_j (j! ch_j(T)) y_(k-j),
+    with w_j = j a_j for td = exp(sum_j a_j j! ch_j(T)) and
+    w_j = (-1)^(j-1) for the Chern classes (Newton's identities).
 
     Each sequence maps a degree to its homogeneous class, computed on first
-    use and kept. A degree where `vanishes(k)` holds is zero in every
-    sequence, with no product and no Todd work; in a product the
-    lower-degree factor comes first and a zero one skips the other (see
-    `cauchy_sum`). `special(i)` is sigma_i in the ring.
+    use, passed through `reduce` and kept. A degree where `vanishes(k)`
+    holds is zero in every sequence with no work, and the recurrence skips
+    the terms whose operator j! ch_j(T) lies in such a degree.
     """
 
-    def __init__(self, shape: GrassmannShape, ctx: GradedContext, vanishes, special):
+    def __init__(self, shape: GrassmannShape, vanishes, reduce):
         self.shape = shape
-        self._ctx = ctx
+        self._ring = ring(shape)
         self._vanishes = vanishes
+        self._reduce = reduce
         self._todd_work: list = []
-        self.special = self._graded(special)
-        self.power_q = self._graded(self._power_sum_q)
-        self.power_s_dual = self._graded(self._power_sum_s_dual)
-        self.power_tangent = self._graded(self._power_sum_tangent)
-        self.todd_input = self._graded(self._todd_input)
         self.todd = self._graded(self._todd)
         self.chern = self._graded(self._chern)
-        # the Chern characters: ch_m = (m! ch_m) / m!, and ch_m(S) = (-1)^m ch_m(S*)
-        self.ch_q = self._graded(partial(self._unscale, self.power_q))
-        self.ch_s_dual = self._graded(partial(self._unscale, self.power_s_dual))
-        self.ch_tangent = self._graded(partial(self._unscale, self.power_tangent))
-        self.ch_s = self._graded(lambda m: ctx.scale((-1) ** m, self.ch_s_dual(m)))
+        power, tangent = self._ring.power_sum, self._ring.tangent_power_sum
+        self.ch_tangent = self._graded(partial(self._ch_piece, shape.dim, 1, tangent))
+        self.ch_s_dual = self._graded(partial(self._ch_piece, shape.d, 1, power))
+        self.ch_q = self._graded(lambda m: self._ch_piece(shape.cols, (-1) ** (m + 1), power, m))
+        # ch_m(S) = (-1)^m ch_m(S*)
+        self.ch_s = self._graded(lambda m: scale((-1) ** m, self.ch_s_dual(m)))
 
     def _graded(self, rule):
         memo: dict = {}
 
-        def at(k: int):
+        def at(k: int) -> ChowElement:
             hit = memo.get(k)
             if hit is None:
-                hit = self._ctx.zero if self._vanishes(k) else rule(k)
+                hit = zero(self.shape) if self._vanishes(k) else rule(k)
                 memo[k] = hit
             return hit
 
         return at
 
-    def _unscale(self, power, m: int):
-        return self._ctx.scale(Fraction(1, factorial(m)), power(m))
-
-    def _power_sum_q(self, m: int):
+    def _ch_piece(self, rank: int, sign: int, power, m: int) -> ChowElement:
+        """ch_m = sign * power((), m) / m! for m >= 1, and the rank at m = 0."""
         if m == 0:
-            return self._ctx.scale(self.shape.cols, self._ctx.one)
-        return newton_power_sum(m, self.special, self.power_q, self._ctx)
+            return scale(rank, unit(self.shape))
+        f = factorial(m)
+        terms = {mu: Fraction(sign * a, f) for mu, a in power((), m).items()}
+        return self._reduce(ChowElement(self.shape, terms))
 
-    def _power_sum_s_dual(self, m: int):
-        if m == 0:
-            return self._ctx.scale(self.shape.d, self._ctx.one)
-        return self._ctx.scale((-1) ** (m + 1), self.power_q(m))
+    def _recurrence(self, k: int, y, weight) -> ChowElement:
+        tangent = self._ring.tangent_power_sum
+        out: dict = {}
+        for j in range(1, k + 1):
+            w = weight(j)
+            if not w or self._vanishes(j):
+                continue
+            for lam, c in y(k - j).terms.items():
+                wc = w * c
+                for mu, a in tangent(lam, j).items():
+                    out[mu] = out.get(mu, 0) + wc * a
+        return self._reduce(ChowElement(self.shape, {mu: c / k for mu, c in out.items() if c}))
 
-    def _power_sum_tangent(self, m: int):
-        terms = [(comb(m, i), i, self.power_s_dual, self.power_q) for i in range(m + 1)]
-        return cauchy_sum(m, terms, self._ctx)
-
-    def _todd_input(self, m: int):
-        a = todd_log_coeff(m)
-        return self._ctx.scale(a, self.power_tangent(m)) if a else self._ctx.zero
-
-    def _todd(self, k: int):
+    def _todd(self, k: int) -> ChowElement:
         if k == 0:
-            return self._ctx.one
+            return unit(self.shape)
         self._todd_work.append(k)
-        return exp_piece(k, self.todd_input, self.todd, self._ctx)
+        return self._recurrence(k, self.todd, lambda j: j * todd_log_coeff(j))
 
-    def _chern(self, m: int):
-        if m == 0:
-            return self._ctx.one
-        terms = [((-1) ** (i - 1), i, self.power_tangent, self.chern) for i in range(1, m + 1)]
-        return self._ctx.scale(Fraction(1, m), cauchy_sum(m, terms, self._ctx))
+    def _chern(self, k: int) -> ChowElement:
+        if k == 0:
+            return unit(self.shape)
+        return self._recurrence(k, self.chern, lambda j: (-1) ** (j - 1))
 
     @property
     def todd_degrees(self) -> tuple:
-        """Degrees >= 1 whose Todd component ran the exp recurrence."""
+        """Degrees >= 1 whose Todd component ran the recurrence."""
         return tuple(sorted(self._todd_work))
 
 
 @lru_cache(maxsize=None)
 def chow_pipeline(shape: GrassmannShape) -> TangentPipeline:
     """The per-shape pipeline on the Chow ring; degrees above t vanish."""
-    return TangentPipeline(
-        shape, graded_context(shape), lambda k: k > shape.dim, partial(sigma, shape)
-    )
+    return TangentPipeline(shape, lambda k: k > shape.dim, lambda a: a)
 
 
 def _cap(shape: GrassmannShape, max_degree: int | None) -> int:
@@ -173,7 +168,7 @@ def chern_Q(shape: GrassmannShape) -> BundleChern:
 
 
 def ch_Q(shape: GrassmannShape, max_degree: int | None = None) -> BundleCharacter:
-    """Chern character of Q via Newton power sums of the special classes."""
+    """Chern character of Q: m! ch_m(Q) = (-1)^(m+1) p_m, by the Murnaghan-Nakayama step."""
     return _character(shape, shape.cols, chow_pipeline(shape).ch_q, max_degree)
 
 
@@ -187,26 +182,9 @@ def ch_S_dual(shape: GrassmannShape, max_degree: int | None = None) -> BundleCha
     return _character(shape, shape.d, chow_pipeline(shape).ch_s_dual, max_degree)
 
 
-@lru_cache(maxsize=None)
-def chern_S_inverse_series(shape: GrassmannShape) -> tuple:
-    """Degree-1..t coefficients of the formal inverse of 1 + sigma_1 + ... .
-
-    Degrees 1..d are the Chern classes of S; every degree above d must
-    evaluate to zero in the Chow ring (the Whitney relations), which is what
-    the invariant tests pin down.
-    """
-    t = shape.dim
-    out = [unit(shape)]
-    for k in range(1, t + 1):
-        acc = zero(shape)
-        for i in range(1, min(k, shape.cols) + 1):
-            acc = acc - pieri(out[k - i], i)
-        out.append(acc)
-    return tuple(out[1:])
-
-
 def ch_tangent(shape: GrassmannShape, max_degree: int | None = None) -> BundleCharacter:
-    """Chern character of the tangent bundle as the graded product ch(S*)ch(Q)."""
+    """Chern character of the tangent bundle: ch(T) = ch(S*) ch(Q), each m! ch_m(T)
+    acting on the unit through `_Ring.tangent_power_sum`."""
     return _character(shape, shape.dim, chow_pipeline(shape).ch_tangent, max_degree)
 
 

@@ -3,8 +3,11 @@
 Classes are sparse rational linear combinations of Schubert classes, indexed
 by partitions inside the d x (n-d) box. Multiplication by a special class
 uses the interlacing (Pieri) rule; general products expand one factor as a
-determinant in special classes and apply Pieri repeatedly. Reduction modulo
-the hyperplane class h = sigma_1 is exact linear algebra over the integers.
+determinant in special classes and apply Pieri repeatedly. Multiplication by
+a power sum of the Chern roots of S* is the Murnaghan-Nakayama rule, which
+also gives the action of every Chern character of the tangent bundle.
+Reduction modulo the hyperplane class h = sigma_1 is exact linear algebra
+over the integers.
 """
 
 from __future__ import annotations
@@ -12,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 
 from .partitions import GrassmannShape, Partition, enumerate_box, fits_box, normalize_partition
-from .series import GradedContext
 
 
 class ShapeMismatchError(ValueError):
@@ -177,6 +179,8 @@ class _Ring:
         self._giambelli: dict = {}
         self._chain: dict = {}
         self._pair: dict = {}
+        self._power: dict = {}
+        self._tangent: dict = {}
 
     def pieri_partitions(self, lam: Partition, m: int) -> tuple[Partition, ...]:
         """Box partitions obtained from lam by adding a horizontal m-strip."""
@@ -216,6 +220,59 @@ class _Ring:
         result = tuple(out)
         self._pieri[key] = result
         return result
+
+    def power_sum(self, lam: Partition, j: int) -> dict:
+        """Signed box partitions of [lam] * p_j for j >= 1, by the
+        Murnaghan-Nakayama rule.
+
+        [lam] is the Schur polynomial s_lam in the d Chern roots of S*, and
+        p_j = j! ch_j(S*) their power sum. On the beta-numbers
+        lam_i + d - i, adding j to one of them gives mu with sign (-1) to
+        the number of beta-numbers jumped; a collision gives nothing, and so
+        does a result above n - 1, which is mu_1 > n - d. For j = 1 every
+        sign is +1 and the result is multiplication by h = sigma_1.
+        """
+        key = (lam, j)
+        hit = self._power.get(key)
+        if hit is not None:
+            return hit
+        d = self.shape.d
+        beta = [p + d - 1 - r for r, p in enumerate(lam + (0,) * (d - len(lam)))]
+        hit = {}
+        for i, b in enumerate(beta):
+            moved = b + j
+            if moved < self.shape.n and moved not in beta:
+                k = i  # moved lands at k, jumping the i - k beta-numbers before i
+                while k and beta[k - 1] < moved:
+                    k -= 1
+                new = beta[:k] + [moved] + beta[k:i] + beta[i + 1:]
+                mu = tuple(v + r + 1 - d for r, v in enumerate(new) if v + r + 1 - d)
+                hit[mu] = -1 if (i - k) & 1 else 1
+        self._power[key] = hit
+        return hit
+
+    def tangent_power_sum(self, lam: Partition, m: int) -> dict:
+        """Integer coefficients of [lam] * m! ch_m(T) for T = S* (x) Q.
+
+        m! ch_m(T) = sum_i C(m, i) p_i(S*) p_(m-i)(Q), with p_i(S*) = p_i,
+        p_j(Q) = (-1)^(j+1) p_j for j >= 1, and p_0 the rank: d for S*,
+        n - d for Q.
+        """
+        key = (lam, m)
+        hit = self._tangent.get(key)
+        if hit is not None:
+            return hit
+        d, cols = self.shape.d, self.shape.cols
+        out: dict = {}
+        for i in range(m + 1):
+            j = m - i
+            c = comb(m, i) * (-1) ** (j + 1) if j else cols
+            for nu, a in self.power_sum(lam, j).items() if j else ((lam, 1),):
+                for mu, b in self.power_sum(nu, i).items() if i else ((nu, d),):
+                    out[mu] = out.get(mu, 0) + c * a * b
+        hit = {mu: v for mu, v in out.items() if v}
+        self._tangent[key] = hit
+        return hit
 
     def giambelli(self, lam: Partition) -> tuple:
         """Signed expansion of det(sigma_{lam_i + j - i}) as sigma-monomials.
@@ -496,8 +553,8 @@ def _h_echelon(shape: GrassmannShape, degree: int) -> tuple:
     columns = []
     for lam in enumerate_box(shape, degree - 1):
         col = [0] * len(target)
-        for mu in r.pieri_partitions(lam, 1):
-            col[index[mu]] = 1
+        for mu, c in r.power_sum(lam, 1).items():
+            col[index[mu]] = c
         columns.append(col)
     return tuple((piv, tuple(row)) for piv, row in _integer_rref(columns))
 
@@ -506,18 +563,6 @@ def _h_echelon(shape: GrassmannShape, degree: int) -> tuple:
 def build_h_matrices(shape: GrassmannShape) -> HMatrixSet:
     """The per-shape multiplication-by-h data; echelon forms come lazily."""
     return HMatrixSet(shape)
-
-
-def _reduce_terms(shape: GrassmannShape, terms: dict, forms: dict) -> ChowElement:
-    out: dict = {}
-    for lam, c in terms.items():
-        for mu, f in forms[lam]:
-            s = out.get(mu, 0) + c * f
-            if s:
-                out[mu] = s
-            else:
-                out.pop(mu, None)
-    return ChowElement(shape, out)
 
 
 def reduce_mod_h(a: ChowElement, hmats: HMatrixSet) -> tuple[ChowElement, bool]:
@@ -535,51 +580,13 @@ def reduce_mod_h(a: ChowElement, hmats: HMatrixSet) -> tuple[ChowElement, bool]:
     degree = a.homogeneous_degree()
     if degree < 1:
         raise NonHomogeneousError("reduction needs degree at least 1")
-    rep = _reduce_terms(a.shape, a.terms, hmats.normal_forms(degree))
-    return rep, rep.is_zero()
-
-
-def multiply_mod_h(a: ChowElement, b: ChowElement, hmats: HMatrixSet) -> ChowElement:
-    """Product in the quotient A/(h) of two homogeneous classes.
-
-    The basis products are summed, then reduced in the target degree; for
-    canonical representatives a and b this is the canonical representative
-    of a * b. A target degree with zero quotient gives zero with no product.
-    """
-    _check_shapes(a, b)
-    if a.is_zero() or b.is_zero():
-        return zero(a.shape)
-    degree = a.homogeneous_degree() + b.homogeneous_degree()
-    if hmats.quotient_dim(degree) == 0:
-        return zero(a.shape)
-    r = ring(a.shape)
+    forms = hmats.normal_forms(degree)
     out: dict = {}
-    for lam, ca in a.terms.items():
-        for mu, cb in b.terms.items():
-            c = ca * cb
-            for nu, k in r.pair_product(lam, mu).items():
-                out[nu] = out.get(nu, 0) + c * k
-    return _reduce_terms(a.shape, out, hmats.normal_forms(degree))
-
-
-def graded_context(shape: GrassmannShape) -> GradedContext:
-    """Adapter exposing the Chow ring to the graded series combinators."""
-    return _context(shape, multiply)
-
-
-def quotient_context(hmats: HMatrixSet) -> GradedContext:
-    """Adapter exposing A/(h) to the graded series combinators: classes are
-    canonical representatives and `mul` is `multiply_mod_h`."""
-    return _context(hmats.shape, lambda a, b: multiply_mod_h(a, b, hmats))
-
-
-def _context(shape: GrassmannShape, mul) -> GradedContext:
-    return GradedContext(
-        truncation=shape.dim,
-        zero=zero(shape),
-        one=unit(shape),
-        add=add,
-        scale=scale,
-        mul=mul,
-        component=ChowElement.component,
-    )
+    for lam, c in a.terms.items():
+        for mu, f in forms[lam]:
+            s = out.get(mu, 0) + c * f
+            if s:
+                out[mu] = s
+            else:
+                out.pop(mu, None)
+    return ChowElement(a.shape, out), not out

@@ -10,6 +10,7 @@ rationals are emitted as {"num": ..., "den": ...} string pairs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 
 # argparse's messages go through gettext, which imports locale when the
@@ -61,6 +62,20 @@ def parse_partition(text: str) -> tuple:
         raise UsageError(str(exc)) from None
 
 
+def parse_rational(token: str) -> Fraction:
+    """A rational such as "-3/7", "5" or "1.5".
+
+    Exponent notation is refused before `Fraction` reads the token: it
+    would build the whole integer, and "1e10000000" takes seconds.
+    """
+    if "e" in token or "E" in token:
+        raise UsageError(f"exponent notation is not accepted: {token!r}")
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"malformed rational {token!r}") from None
+
+
 def parse_class(shape: GrassmannShape, specs: list) -> ChowElement:
     """Terms like "[2,1]:-3/4"; a bare "[2,1]" means coefficient 1.
 
@@ -73,10 +88,7 @@ def parse_class(shape: GrassmannShape, specs: list) -> ChowElement:
             lam = parse_partition(part)
             if not fits_box(lam, shape):
                 raise UsageError(f"partition {lam} does not fit the box of {shape}")
-            try:
-                q = Fraction(coeff) if coeff else Fraction(1)
-            except (ValueError, ZeroDivisionError):
-                raise UsageError(f"malformed coefficient in {chunk!r}") from None
+            q = parse_rational(coeff) if coeff else Fraction(1)
             terms[lam] = terms.get(lam, Fraction(0)) + q
     return from_terms(shape, terms)
 
@@ -177,14 +189,7 @@ def cmd_table(args) -> int:
     if args.max_n < 2:
         raise UsageError("max_n must be at least 2")
     check_guard(args.max_n, args.force)
-    try:
-        entries = verdict_table(args.max_n, jobs=args.jobs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    except OSError as exc:
-        print(f"warning: --jobs {args.jobs} failed ({exc}); running sequentially",
-              file=sys.stderr)
-        entries = verdict_table(args.max_n, jobs=None)
+    entries = verdict_table(args.max_n)
     roberts_count = sum(1 for e in entries if e.roberts)
     if args.json:
         payload = {
@@ -274,32 +279,28 @@ def cmd_bundle(args) -> int:
     # the pipeline's graded pieces, read one degree at a time
     pipe = chow_pipeline(shape)
     piece = {"todd": pipe.todd, "ch": pipe.ch_tangent, "chern": pipe.chern}[args.which]
-    first = 1 if args.which == "chern" else 0
-    rows = [(k, piece(k)) for k in range(first, cap + 1)]
-
-    out = []
-    for k, cls in rows:
+    entries, shown = [], []
+    for k in range(1 if args.which == "chern" else 0, cap + 1):
+        cls = piece(k)
         entry = {"degree": k, "class": ser_class(cls)}
-        shown = cls
         if hm is not None and k >= 1:
-            rep, is_zero = reduce_mod_h(cls, hm)
-            entry["reduced"] = ser_class(rep)
-            entry["is_zero"] = is_zero
-            shown = rep
-        out.append((k, cls, entry, shown))
+            cls, entry["is_zero"] = reduce_mod_h(cls, hm)
+            entry["reduced"] = ser_class(cls)
+        entries.append(entry)
+        shown.append((k, cls))
 
     if args.json:
         emit_json(
             f"bundle.{args.which}",
             {"d": args.d, "n": args.n, "max_degree": cap, "mod_h": bool(args.mod_h)},
-            {"components": [e for _, _, e, _ in out]},
+            {"components": entries},
         )
     else:
         label = {"todd": "td", "ch": "ch", "chern": "c"}[args.which]
         suffix = " (reduced mod h)" if args.mod_h else ""
         print(f"{label} of the tangent bundle on G_{shape.d}({shape.n}){suffix}")
-        for k, _, _, shown in out:
-            print(f"deg {k}: {shown}")
+        for k, cls in shown:
+            print(f"deg {k}: {cls}")
     return 0
 
 
@@ -331,9 +332,9 @@ def cmd_pfaffian(args) -> int:
         raise UsageError("empty matrix file")
     try:
         k = int(tokens[0])
-        vals = [Fraction(tok) for tok in tokens[1 : 1 + k * k]]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise UsageError(f"malformed matrix file: {exc}") from None
+    vals = [parse_rational(tok) for tok in tokens[1 : 1 + k * k]]
     if k < 0 or len(vals) != k * k:
         raise UsageError(f"expected {k}x{k} entries after the size line")
     extra = len(tokens) - 1 - k * k
@@ -381,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="verdict grid for all shapes up to max_n")
     p.add_argument("max_n", type=int)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for the grid (default: sequential)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--force", action="store_true", help=f"lift the n <= {GUARD_N} guard")
     p.set_defaults(func=cmd_table)
@@ -460,7 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 @cache
 def _shared_parser() -> argparse.ArgumentParser:
-    # built on the first main() call, not at import, and reused after that
+    # built on the first main() call, not at import, and reused after that;
+    # freezing the imports' objects keeps them out of every later collection
+    gc.freeze()
     return build_parser()
 
 

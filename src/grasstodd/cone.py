@@ -14,13 +14,11 @@ tangent-bundle pipeline that builds the Chow-ring classes (`TauStream`).
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .bundles import TangentPipeline
-from .chow import ChowElement, build_h_matrices, quotient_context, reduce_mod_h, sigma
+from .chow import ChowElement, build_h_matrices, reduce_mod_h
 from .partitions import GrassmannShape
 
 
@@ -55,11 +53,12 @@ class RobertsReport:
 
 
 class TauStream(TangentPipeline):
-    """The reduced Todd components of one shape: the tangent pipeline run in
-    A/(h).
+    """The reduced Todd components of one shape: the tangent pipeline with
+    every class reduced mod h.
 
-    Every class is a canonical representative mod h and every product is a
-    quotient product (`multiply_mod_h`), so tau_j is the pipeline's degree-j
+    Reduction mod h is a ring homomorphism, so applying j! ch_j(T) to a
+    canonical representative and reducing the result gives the canonical
+    representative of the product, and tau_j is the pipeline's degree-j
     Todd piece. Degrees are built only when a record needs them. A degree
     with zero quotient dimension (a rank certificate, or enumeration for
     degree 1) is zero in every sequence, with no product and no Todd work.
@@ -69,9 +68,8 @@ class TauStream(TangentPipeline):
         self.hmats = hmats = build_h_matrices(shape)
         super().__init__(
             shape,
-            quotient_context(hmats),
             lambda k: hmats.quotient_dim(k) == 0,
-            lambda i: reduce_mod_h(sigma(shape, i), hmats)[0],
+            lambda a: reduce_mod_h(a, hmats)[0],
         )
 
     def record(self, j: int) -> TauRecord:
@@ -152,27 +150,13 @@ class TableEntry:
     witness: int | None
 
 
-def _table_entry(pair: tuple) -> TableEntry:
-    d, n = pair
-    report = roberts_verdict(GrassmannShape(d, n), mode="verdict")
-    return TableEntry(d, n, report.verdict, report.witness)
-
-
-def verdict_table(max_n: int, jobs: int | None = None) -> tuple:
-    """Verdicts for every shape with 2 <= n <= max_n, in (n, d) order.
-
-    With jobs > 1 the shapes are farmed out to worker processes; each worker
-    builds its own memo tables, and the result order is fixed either way.
-    The pool never has more workers than CPUs or shapes.
-    """
+def verdict_table(max_n: int) -> tuple:
+    """Verdicts for every shape with 2 <= n <= max_n, in (n, d) order."""
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
-    if jobs is not None and jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    pairs = [(d, n) for n in range(2, max_n + 1) for d in range(1, n)]
-    workers = min(jobs or 1, os.cpu_count() or 1, len(pairs))
-    if workers > 1:
-        # looked up here: loading the executor imports multiprocessing
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return tuple(pool.map(_table_entry, pairs))
-    return tuple(_table_entry(p) for p in pairs)
+    entries = []
+    for n in range(2, max_n + 1):
+        for d in range(1, n):
+            report = roberts_verdict(GrassmannShape(d, n), mode="verdict")
+            entries.append(TableEntry(d, n, report.verdict, report.witness))
+    return tuple(entries)

@@ -270,6 +270,23 @@ def series_todd_log_coeffs(trunc: int) -> list:
     return out
 
 
+def newton_power_sums(shape) -> list:
+    """p_0..p_t of the Chern roots of Q, by Newton's identities in the
+    special classes c_m(Q) = sigma_m, with products from `grasstodd.multiply`.
+
+    p_0 is the rank n - d; the power sums of S* are (-1)^(m+1) p_m for m >= 1.
+    """
+    from grasstodd import multiply, scale, sigma, unit
+
+    power_q = [scale(shape.cols, unit(shape))]
+    for m in range(1, shape.dim + 1):
+        acc = scale((-1) ** (m - 1) * m, sigma(shape, m))
+        for i in range(1, m):
+            acc = acc + scale((-1) ** (i - 1), multiply(sigma(shape, i), power_q[m - i]))
+        power_q.append(acc)
+    return power_q
+
+
 def eager_tangent_classes(shape) -> dict:
     """Every tangent-bundle class of a Grassmannian, by textbook loops over
     `grasstodd.multiply` and `grasstodd.sigma`.
@@ -286,16 +303,10 @@ def eager_tangent_classes(shape) -> dict:
     "ch_tangent"; "chern_tangent" from c_0 = 1) and the whole Todd class
     ("todd").
     """
-    from grasstodd import multiply, scale, sigma, unit, zero
+    from grasstodd import multiply, scale, unit, zero
 
-    t, d, cols = shape.dim, shape.d, shape.cols
-    power_q = [scale(cols, unit(shape))]
-    for m in range(1, t + 1):
-        acc = scale((-1) ** (m - 1) * m, sigma(shape, m))
-        for i in range(1, m):
-            acc = acc + scale((-1) ** (i - 1), multiply(sigma(shape, i), power_q[m - i]))
-        power_q.append(acc)
-    ch_q = [scale(Fraction(1, factorial(m)), p) for m, p in enumerate(power_q)]
+    t, d = shape.dim, shape.d
+    ch_q = [scale(Fraction(1, factorial(m)), p) for m, p in enumerate(newton_power_sums(shape))]
     ch_s = [scale(d, unit(shape))] + [-c for c in ch_q[1:]]
     ch_s_dual = [scale((-1) ** m, c) for m, c in enumerate(ch_s)]
     ch_t = []

@@ -9,6 +9,7 @@ Plucker line bundle reproduces the tableau count of sections.
 from fractions import Fraction
 from math import comb, factorial
 
+import grasstodd.bundles as bundles_module
 import grasstodd.chow as chow_module
 from grasstodd import (
     GrassmannShape,
@@ -17,11 +18,9 @@ from grasstodd import (
     ch_S_dual,
     ch_tangent,
     chern_Q,
-    chern_S_inverse_series,
     chern_tangent,
     conjugate,
     multiply,
-    power_sums_from_elementary,
     scale,
     schubert,
     sigma,
@@ -31,9 +30,8 @@ from grasstodd import (
     zero,
 )
 from grasstodd.bundles import chow_pipeline
-from grasstodd.chow import graded_context
-from grasstodd.series import exp_graded
 from oracles import eager_tangent_classes
+from testbed import chern_S_inverse_series, exp_graded, graded_context, power_sums_from_elementary
 
 SHAPES = [GrassmannShape(d, n) for n in range(4, 9) for d in range(2, n - 1)]
 
@@ -220,16 +218,20 @@ def test_every_cap_matches_textbook_oracle_in_both_fill_orders():
 
 def test_warm_repeat_does_no_arithmetic(monkeypatch):
     calls = []
-    for name in ("add", "scale", "multiply"):
-        fn = getattr(chow_module, name)
-        monkeypatch.setattr(chow_module, name,
-                            lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
+
+    def spy(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or fn(*args))
+
+    spy(chow_module._Ring, "power_sum")
+    spy(chow_module._Ring, "tangent_power_sum")
+    spy(bundles_module, "scale")
     s = GrassmannShape(3, 6)
-    chow_pipeline.cache_clear()  # the next pipeline's ring hooks are the spies
+    chow_pipeline.cache_clear()  # the next pipeline binds the spied kernels
     queries = [(fn, cap) for cap in (3, None, 1)
                for fn in (todd_tangent, chern_tangent, ch_tangent, ch_Q, ch_S, ch_S_dual)]
     first = [fn(s, cap) for fn, cap in queries]
-    assert {"add", "scale", "multiply"} <= set(calls)
+    assert {"power_sum", "tangent_power_sum", "scale"} <= set(calls)
     calls.clear()
     assert [fn(s, cap) for fn, cap in queries] == first
     assert calls == []

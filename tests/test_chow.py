@@ -6,6 +6,7 @@ polynomial evaluation at random rational points.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,10 +21,10 @@ from grasstodd import (
     build_h_matrices,
     conjugate,
     enumerate_box,
+    from_terms,
     giambelli_expand,
     lr_coefficient,
     multiply,
-    multiply_mod_h,
     pieri,
     reduce_mod_h,
     scale,
@@ -32,7 +33,16 @@ from grasstodd import (
     unit,
     zero,
 )
-from oracles import distinct_points, eager_h_echelons, eager_tau, horizontal_strip, schur_value
+from grasstodd.chow import ring
+from oracles import (
+    distinct_points,
+    eager_h_echelons,
+    eager_tangent_classes,
+    eager_tau,
+    horizontal_strip,
+    newton_power_sums,
+    schur_value,
+)
 
 
 SMALL_SHAPES = [GrassmannShape(d, n) for n in range(2, 9) for d in range(1, n)]
@@ -385,20 +395,38 @@ def test_degree_one_quotient_needs_no_echelon():
         assert hm.quotient_dim(0) == 1 and hm.quotient_dim(s.dim + 1) == 0
 
 
-def test_multiply_mod_h_reduces_the_product(rng):
-    for s in [GrassmannShape(2, 5), GrassmannShape(3, 6), GrassmannShape(3, 7), GrassmannShape(4, 8)]:
-        hm = build_h_matrices(s)
-        for _ in range(20):
-            lam = partition_in(s, rng)
-            mu = partition_in(s, rng, max_weight=s.dim - sum(lam))
-            if not lam or not mu:
-                continue
-            a = random_class(s, rng).component(sum(lam)) + schubert(s, lam)
-            b = random_class(s, rng).component(sum(mu)) + schubert(s, mu)
-            if a.is_zero() or b.is_zero():
-                continue
-            want, _ = reduce_mod_h(multiply(a, b), hm)
-            ra, _ = reduce_mod_h(a, hm)
-            rb, _ = reduce_mod_h(b, hm)
-            assert multiply_mod_h(ra, rb, hm) == want, (s, lam, mu)
-            assert multiply_mod_h(a, b, hm) == want, (s, lam, mu)
+def test_power_sum_is_the_product_with_p_j():
+    # the Murnaghan-Nakayama step against [lam] * p_j, with p_j(S*) the
+    # Newton power sum of the special classes up to the sign (-1)^(j+1)
+    for s in SMALL_SHAPES:
+        r = ring(s)
+        power_q = newton_power_sums(s)
+        basis = [lam for w in range(s.dim + 1) for lam in enumerate_box(s, w)]
+        for j in range(1, s.dim + 1):
+            p_j = scale((-1) ** (j + 1), power_q[j])
+            for lam in basis:
+                got = r.power_sum(lam, j)
+                assert from_terms(s, got) == multiply(schubert(s, lam), p_j), (s, lam, j)
+                assert all(c in (1, -1) for c in got.values())
+
+
+def test_h_columns_are_power_sum_one():
+    # p_1 = sigma_1 = h: add a box, every sign +1, exactly the Pieri strip
+    for s in SMALL_SHAPES:
+        r = ring(s)
+        for w in range(s.dim):
+            for lam in enumerate_box(s, w):
+                assert r.power_sum(lam, 1) == dict.fromkeys(r.pieri_partitions(lam, 1), 1)
+
+
+def test_tangent_power_sum_is_the_product_with_the_tangent_character():
+    for s in SMALL_SHAPES:
+        r = ring(s)
+        ch_t = eager_tangent_classes(s)["ch_tangent"]
+        basis = [lam for w in range(s.dim + 1) for lam in enumerate_box(s, w)]
+        for m in range(s.dim + 1):
+            x_m = scale(factorial(m), ch_t[m])
+            for lam in basis:
+                got = from_terms(s, r.tangent_power_sum(lam, m))
+                assert got == multiply(schubert(s, lam), x_m), (s, lam, m)
+

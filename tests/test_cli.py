@@ -7,13 +7,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import grasstodd.cli as cli_module
-from grasstodd.cli import main, parse_partition
+from grasstodd.cli import UsageError, main, parse_partition, parse_rational
 
 
 def run(capsys, *argv):
@@ -54,29 +55,6 @@ def test_guard_covers_chow(capsys, argv):
     assert "--force" in err
     code, out, err = run(capsys, "chow", *argv, "--force")
     assert code == 0 and out and err == ""
-
-
-def test_table_rejects_zero_jobs(capsys):
-    code, _, err = run(capsys, "table", "4", "--jobs", "0")
-    assert code == 2
-    assert "jobs" in err
-
-
-def test_table_fallback_is_loud(capsys, monkeypatch):
-    _, quiet, _ = run(capsys, "table", "5", "--json")
-    real = cli_module.verdict_table
-
-    def no_workers(max_n, jobs=None):
-        if jobs is not None:
-            raise OSError("cannot start workers")
-        return real(max_n, jobs=jobs)
-
-    monkeypatch.setattr(cli_module, "verdict_table", no_workers)
-    code, out, err = run(capsys, "table", "5", "--jobs", "2", "--json")
-    assert code == 0
-    assert out == quiet
-    assert len(err.splitlines()) == 1
-    assert "sequential" in err and "cannot start workers" in err
 
 
 def test_pfaffian_classify_exit_codes(capsys):
@@ -218,6 +196,30 @@ def test_pfaffian_eval_rejects_extra_tokens(tmp_path, capsys):
     assert "3 extra token(s)" in err
 
 
+def test_parse_rational_forms():
+    assert parse_rational("-3/7") == Fraction(-3, 7)
+    assert parse_rational("5") == 5
+    assert parse_rational("1.5") == Fraction(3, 2)
+    for token in ("1e5", "2E-3", "1.5e0", "1/0", "x"):
+        with pytest.raises(UsageError):
+            parse_rational(token)
+
+
+def test_exponent_tokens_exit_2_at_once(tmp_path, capsys):
+    # Fraction("1e10000000") would build a ten-million-digit integer first
+    f = tmp_path / "huge.txt"
+    f.write_text("1\n1e10000000\n")
+    for argv in (
+        ["pfaffian", "eval", str(f)],
+        ["chow", "reduce", "2", "5", "--class", "[1]:1e10000000"],
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5, argv
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and "exponent" in err, argv
+
+
 def run_quiet(argv):
     """main() with stdout and stderr captured, usable inside @given."""
     out, err = io.StringIO(), io.StringIO()
@@ -228,7 +230,7 @@ def run_quiet(argv):
 
 NUMBER = st.builds(lambda p, q: f"{p}/{q}" if q > 1 else str(p),
                    st.integers(-9, 9), st.integers(1, 4))
-BAD_TOKEN = st.sampled_from(["1/0", "x", "1/", "/2", "--3", "1//2", "0x1", "nan", "1.2.3"])
+BAD_TOKEN = st.sampled_from(["1/0", "x", "1/", "/2", "--3", "1//2", "0x1", "nan", "1.2.3", "1e5"])
 
 
 @st.composite
@@ -351,11 +353,21 @@ def test_console_script_installed():
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():
-    # the process pool, and with it multiprocessing, loads only when a table starts one
+    # no command starts worker processes, so importing the CLI must not load multiprocessing
     probe = "import sys, grasstodd.cli; print('multiprocessing' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_first_command_freezes_the_import_time_objects():
+    # later collections then skip everything the imports built
+    probe = ("import gc, sys, grasstodd.cli as cli; before = gc.get_freeze_count(); "
+             "cli.main(['pfaffian', 'classify', '2', '4']); "
+             "print(before == 0 and gc.get_freeze_count() > 0)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().endswith("True")
 
 
 def test_main_reuses_one_parser_without_leaking_state(capsys, monkeypatch):

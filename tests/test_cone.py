@@ -4,13 +4,12 @@ The classification being tested: the cone over G_d(n) is Roberts exactly
 for d = 1, d = n-1, and the two exceptional middle cases (2,4) and (3,6).
 """
 
-import concurrent.futures
 from fractions import Fraction
 
 import pytest
 
 import grasstodd.bundles as bundles_module
-import grasstodd.cone as cone_module
+import grasstodd.chow as chow_module
 from grasstodd import (
     GrassmannShape,
     TauStream,
@@ -106,15 +105,21 @@ def test_tau_stream_matches_eager_oracle():
 def test_verdict_on_projective_spaces_needs_only_rank_certificates(monkeypatch):
     calls = []
 
-    def spy(fn):
-        def wrapped(*args):
-            calls.append(fn.__name__)
-            return fn(*args)
-        return wrapped
+    def spy(owner, name, seen=lambda *args: True):
+        fn = getattr(owner, name)
 
-    # the pipeline's rules look these up in the bundles module's globals
-    for name in ("cauchy_sum", "exp_piece", "newton_power_sum"):
-        monkeypatch.setattr(bundles_module, name, spy(getattr(bundles_module, name)))
+        def wrapped(*args):
+            if seen(*args):
+                calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    # the h-columns are power_sum(lam, 1); any longer power sum is Todd work
+    spy(chow_module._Ring, "power_sum", lambda ring, lam, j: j > 1)
+    spy(chow_module._Ring, "tangent_power_sum")
+    spy(bundles_module.TangentPipeline, "_recurrence")
+    chow_module.ring.cache_clear()  # cold kernel memos, so the control below reaches them
     build_h_matrices.cache_clear()
     chow_pipeline.cache_clear()
     for n in range(2, 13):
@@ -128,7 +133,7 @@ def test_verdict_on_projective_spaces_needs_only_rank_certificates(monkeypatch):
     assert chow_pipeline.cache_info().misses == 0
     # positive control: the same spies see the Todd work of G(2,4)
     roberts_verdict(GrassmannShape(2, 4), mode="verdict")
-    assert {"cauchy_sum", "exp_piece", "newton_power_sum"} <= set(calls)
+    assert {"power_sum", "tangent_power_sum", "_recurrence"} <= set(calls)
     assert chow_pipeline.cache_info().misses == 0
 
 
@@ -218,50 +223,6 @@ def test_verdict_table_matches_classification():
 def test_verdict_table_rejects_tiny_bound():
     with pytest.raises(ValueError):
         verdict_table(1)
-
-
-def test_verdict_table_parallel_agrees():
-    seq = verdict_table(6)
-    par = verdict_table(6, jobs=2)
-    assert seq == par
-
-
-def test_verdict_table_rejects_zero_jobs():
-    with pytest.raises(ValueError):
-        verdict_table(4, jobs=0)
-
-
-def test_verdict_table_clamps_pool_size(monkeypatch):
-    seen = []
-
-    class RecordingPool:
-        # stands in for ProcessPoolExecutor: records the size, runs in-process
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    seq = verdict_table(4)  # 6 shapes
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cone_module.os, "cpu_count", lambda: 64)
-    assert verdict_table(4, jobs=5000) == seq
-    assert verdict_table(4, jobs=4) == seq
-    monkeypatch.setattr(cone_module.os, "cpu_count", lambda: 3)
-    assert verdict_table(4, jobs=5000) == seq
-    assert seen == [6, 4, 3]
-    # one CPU (or an unknown count) or one job: no pool at all
-    monkeypatch.setattr(cone_module.os, "cpu_count", lambda: None)
-    assert verdict_table(4, jobs=5000) == seq
-    monkeypatch.setattr(cone_module.os, "cpu_count", lambda: 64)
-    assert verdict_table(4, jobs=1) == seq
-    assert seen == [6, 4, 3]
 
 
 def test_record_lookup_missing_degree():

@@ -1,7 +1,8 @@
 """Series-layer tests, run in a free polynomial algebra with no geometry.
 
 The Todd-logarithm coefficients are cross-checked against the Bernoulli
-closed form, and Newton's identities against honest symmetric polynomials.
+closed form, and the test bed's Newton identities against honest symmetric
+polynomials.
 """
 
 from fractions import Fraction
@@ -11,16 +12,15 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from grasstodd import (
+from grasstodd import bernoulli, todd_log_coeffs
+from oracles import series_todd_log_coeffs
+from testbed import (
     PolynomialAlgebra,
-    bernoulli,
     elementary_from_power_sums,
     exp_graded,
     log_graded,
     power_sums_from_elementary,
-    todd_log_coeffs,
 )
-from oracles import series_todd_log_coeffs
 
 
 def test_bernoulli_values():
