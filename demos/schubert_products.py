@@ -6,7 +6,6 @@ Run as a script; every number printed is exact.
 from grasstodd import (
     GrassmannShape,
     enumerate_box,
-    giambelli_expand,
     lr_coefficient,
     multiply,
     pieri,
@@ -28,10 +27,9 @@ out = pieri(schubert(s, (2, 1)), 2)
 print(f"  [2,1] * sigma_2 = {out}")
 
 print("\nGiambelli: any class is a determinant in the special classes.")
-for coeff, mono in giambelli_expand((2, 1), s):
-    label = "*".join(f"sigma_{m}" for m in mono) or "1"
-    print(f"  {coeff:+d} {label}")
-print("  ... so [2,1] = sigma_2*sigma_1 - sigma_3")
+s21 = multiply(sigma(s, 2), sigma(s, 1))
+print(f"  sigma_2*sigma_1 = {s21}  (by Pieri: {pieri(sigma(s, 2), 1)})")
+print(f"  det [[sigma_2, sigma_3], [1, sigma_1]] = sigma_2*sigma_1 - sigma_3 = {s21 - sigma(s, 3)}")
 
 print("\nA full product, with its Littlewood-Richardson cross-check:")
 prod = multiply(schubert(s, (2, 1)), schubert(s, (2, 1)))

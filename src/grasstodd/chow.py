@@ -1,9 +1,9 @@
 """The rational Chow ring of a Grassmannian on its Schubert basis.
 
 Classes are sparse rational linear combinations of Schubert classes, indexed
-by partitions inside the d x (n-d) box. Multiplication by a special class
-uses the interlacing (Pieri) rule; general products expand one factor as a
-determinant in special classes and apply Pieri repeatedly. Multiplication by
+by partitions inside the d x (n-d) box. Every product of two Schubert
+classes, Pieri's rule for a special class included, comes from one
+Littlewood-Richardson tableau count truncated to the box. Multiplication by
 a power sum of the Chern roots of S* is the Murnaghan-Nakayama rule, which
 also gives the action of every Chern character of the tangent bundle.
 Reduction modulo the hyperplane class h = sigma_1 is exact linear algebra
@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, gcd
 
 from .partitions import GrassmannShape, Partition, enumerate_box, fits_box, normalize_partition
@@ -167,7 +168,10 @@ def scale(q, a: ChowElement) -> ChowElement:
 
 
 class _Ring:
-    """Per-shape multiplication engine with memoised integer kernels.
+    """Per-shape multiplication engine with memoised integer kernels: the
+    Murnaghan-Nakayama step (`power_sum`), the tangent character built from
+    it (`tangent_power_sum`), and basis products by the Littlewood-Richardson
+    rule (`pair_product`), one memo each.
 
     All caches hold integer data only; they are keyed on immutable tuples, so
     concurrent reads are safe and racing inserts are idempotent.
@@ -175,51 +179,9 @@ class _Ring:
 
     def __init__(self, shape: GrassmannShape):
         self.shape = shape
-        self._pieri: dict = {}
-        self._giambelli: dict = {}
-        self._chain: dict = {}
-        self._pair: dict = {}
         self._power: dict = {}
         self._tangent: dict = {}
-
-    def pieri_partitions(self, lam: Partition, m: int) -> tuple[Partition, ...]:
-        """Box partitions obtained from lam by adding a horizontal m-strip."""
-        key = (lam, m)
-        hit = self._pieri.get(key)
-        if hit is not None:
-            return hit
-        d, cols = self.shape.d, self.shape.cols
-        padded = lam + (0,) * (d - len(lam))
-        # max extra addable in rows i.. using static caps (row above's old part)
-        suffix = [0] * (d + 1)
-        for i in range(d - 1, -1, -1):
-            cap = cols if i == 0 else padded[i - 1]
-            suffix[i] = suffix[i + 1] + (cap - padded[i])
-        out = []
-
-        def rec(i: int, rem: int, prefix: tuple):
-            if rem == 0:
-                tail = padded[i:]
-                full = prefix + tail
-                while full and full[-1] == 0:
-                    full = full[:-1]
-                out.append(full)
-                return
-            if i == d:
-                return
-            # interlacing: mu_i is capped by the row above's OLD part
-            cap = cols if i == 0 else padded[i - 1]
-            hi = min(cap, padded[i] + rem)
-            for v in range(hi, padded[i] - 1, -1):
-                left = rem - (v - padded[i])
-                if left > suffix[i + 1]:
-                    break
-                rec(i + 1, left, prefix + (v,))
-
-        rec(0, m, ())
-        result = tuple(out)
-        self._pieri[key] = result
-        return result
+        self._pair: dict = {}
 
     def power_sum(self, lam: Partition, j: int) -> dict:
         """Signed box partitions of [lam] * p_j for j >= 1, by the
@@ -274,85 +236,61 @@ class _Ring:
         self._tangent[key] = hit
         return hit
 
-    def giambelli(self, lam: Partition) -> tuple:
-        """Signed expansion of det(sigma_{lam_i + j - i}) as sigma-monomials.
-
-        Returns ((coeff, mono), ...) with mono a descending tuple of indices
-        in 1..n-d; index-0 entries contribute the unit and are omitted.
-        """
-        hit = self._giambelli.get(lam)
-        if hit is not None:
-            return hit
-        ell = len(lam)
-        cols = self.shape.cols
-        acc: dict = {}
-
-        def rec(row: int, used: int, sign: int, factors: tuple):
-            if row == ell:
-                mono = tuple(sorted(factors, reverse=True))
-                acc[mono] = acc.get(mono, 0) + sign
-                return
-            for col in range(ell):
-                if used >> col & 1:
-                    continue
-                idx = lam[row] + col - row
-                if idx < 0 or idx > cols:
-                    continue
-                flip = -1 if _inversions_above(used, col) & 1 else 1
-                rec(row + 1, used | 1 << col, sign * flip,
-                    factors + (idx,) if idx else factors)
-
-        rec(0, 0, 1, ())
-        result = tuple(sorted(
-            ((c, mono) for mono, c in acc.items() if c),
-            key=lambda item: item[1],
-        ))
-        self._giambelli[lam] = result
-        return result
-
-    def chain(self, lam: Partition, mono: tuple) -> dict:
-        """Integer coefficients of [lam] * sigma_{mono[0]} * ... (mono ascending)."""
-        if not mono:
-            return {lam: 1}
-        key = (lam, mono)
-        hit = self._chain.get(key)
-        if hit is not None:
-            return hit
-        prev = self.chain(lam, mono[:-1])
-        last = mono[-1]
-        out: dict = {}
-        for nu, c in prev.items():
-            for rho in self.pieri_partitions(nu, last):
-                out[rho] = out.get(rho, 0) + c
-        self._chain[key] = out
-        return out
-
     def pair_product(self, lam: Partition, mu: Partition) -> dict:
         """Integer coefficients of the basis product [lam] * [mu]."""
         if sum(lam) + sum(mu) > self.shape.dim:
             return {}
         if (len(mu), sum(mu), mu) > (len(lam), sum(lam), lam):
             lam, mu = mu, lam
-        # expand mu (the side with fewer rows) through its determinant
+        # mu, the factor with fewer rows, is the content: one strip per row
         key = (lam, mu)
         hit = self._pair.get(key)
-        if hit is not None:
-            return hit
-        out: dict = {}
-        for coeff, mono in self.giambelli(mu):
-            for nu, c in self.chain(lam, tuple(sorted(mono))).items():
-                s = out.get(nu, 0) + coeff * c
-                if s:
-                    out[nu] = s
-                else:
-                    out.pop(nu, None)
-        self._pair[key] = out
-        return out
+        if hit is None:
+            hit = _lr_terms(lam, mu, self.shape.d, self.shape.cols)
+            self._pair[key] = hit
+        return hit
 
 
-def _inversions_above(used: int, col: int) -> int:
-    # number of already-used columns to the right of col (parity of the swap)
-    return (used >> (col + 1)).bit_count()
+def _lr_terms(lam: Partition, mu: Partition, rows: int, cols: int) -> dict:
+    """Littlewood-Richardson coefficients {nu: c} of s_lam * s_mu, for nu in
+    the rows x cols box.
+
+    c is the number of LR tableaux of shape nu/lam and content mu (Fulton,
+    Young Tableaux, ch. 5). They are built one label at a time: the mu_k boxes
+    labelled k go on as a horizontal strip, kept only while, for every row
+    r, #k in rows <= r is at most #(k-1) in rows < r, which is the lattice
+    condition on the reverse reading word. Tableaux that agree on the shape
+    and on where their last label sits extend alike, so they are counted
+    together; shapes that leave the box are pruned.
+    """
+    states = {(lam + (0,) * (rows - len(lam)), (0,) * rows): 1}
+    for k, m in enumerate(mu):
+        grown: dict = {}
+        for (shape, prev), c in states.items():
+            # a strip row may reach the row above as it was before the strip
+            caps = [(cols if r == 0 else shape[r - 1]) - shape[r] for r in range(rows)]
+            room = list(accumulate(reversed(caps), initial=0))[::-1]
+
+            def place(r: int, left: int, added: tuple, slack: int):
+                # slack: #(k-1) in rows < r minus #k in rows < r; label 1
+                # has no lattice bound
+                if not left:
+                    added += (0,) * (rows - r)
+                    key = (tuple(p + a for p, a in zip(shape, added)), added)
+                    grown[key] = grown.get(key, 0) + c
+                    return
+                if room[r] < left:
+                    return
+                for a in range(min(caps[r], left, slack), -1, -1):
+                    place(r + 1, left - a, added + (a,), slack - a + prev[r])
+
+            place(0, m, (), 0 if k else m)
+        states = grown
+    out: dict = {}
+    for (shape, _), c in states.items():
+        nu = tuple(p for p in shape if p)
+        out[nu] = out.get(nu, 0) + c
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -361,7 +299,9 @@ def ring(shape: GrassmannShape) -> _Ring:
 
 
 def pieri(a: ChowElement, m: int) -> ChowElement:
-    """Multiply by the special class sigma_m via the interlacing rule.
+    """Multiply by the special class sigma_m: each term gains every
+    horizontal m-strip that stays in the box (the one-row case of the
+    Littlewood-Richardson rule).
 
     For m outside [1, n-d] the special class is zero, so the result is the
     zero element.
@@ -372,25 +312,13 @@ def pieri(a: ChowElement, m: int) -> ChowElement:
     r = ring(shape)
     out: dict = {}
     for lam, c in a.terms.items():
-        for mu in r.pieri_partitions(lam, m):
-            s = out.get(mu, 0) + c
+        for mu, k in r.pair_product(lam, (m,)).items():
+            s = out.get(mu, 0) + c * k
             if s:
                 out[mu] = s
             else:
                 out.pop(mu, None)
     return ChowElement(shape, out)
-
-
-def giambelli_expand(lam, shape: GrassmannShape) -> list:
-    """Determinantal expansion of a Schubert class in special classes.
-
-    Returns a list of (coefficient, monomial) pairs, the monomial a
-    descending tuple of sigma indices; the unit monomial is ().
-    """
-    lam = normalize_partition(lam)
-    if not fits_box(lam, shape):
-        raise ValueError(f"partition {lam} does not fit the box of {shape}")
-    return list(ring(shape).giambelli(lam))
 
 
 def multiply(a: ChowElement, b: ChowElement, max_degree: int | None = None) -> ChowElement:
@@ -424,14 +352,14 @@ def lr_coefficient(lam, mu, nu) -> int:
     lam = normalize_partition(lam)
     mu = normalize_partition(mu)
     nu = normalize_partition(nu)
-    if sum(lam) + sum(mu) != sum(nu):
+    if sum(lam) + sum(mu) != sum(nu) or not (_inside(lam, nu) and _inside(mu, nu)):
         return 0
-    rows = max(1, len(lam) + len(mu))
-    cols = max(1, (lam[0] if lam else 0) + (mu[0] if mu else 0))
-    big = GrassmannShape(rows, rows + cols)
-    if not fits_box(nu, big):
-        return 0
-    return ring(big).pair_product(lam, mu).get(nu, 0)
+    # every LR tableau of shape nu/lam lies in the len(nu) x nu_1 box
+    return _lr_terms(lam, mu, len(nu), nu[0] if nu else 0).get(nu, 0)
+
+
+def _inside(lam: Partition, nu: Partition) -> bool:
+    return len(lam) <= len(nu) and all(p <= q for p, q in zip(lam, nu))
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,17 @@ def bernoulli(k: int) -> Fraction:
     """The k-th Bernoulli number, B_1 = -1/2 convention, exact.
 
     Defining recurrence: sum_{j=0}^{k} binom(k+1, j) B_j = 0 for k >= 1.
+    B_k vanishes for odd k >= 3, so those are returned at once and the
+    recurrence sums only j = 1 and the even j < k.
     """
     if k < 0:
         raise ValueError("Bernoulli index must be nonnegative")
     if k == 0:
         return Fraction(1)
-    acc = Fraction(0)
-    for j in range(k):
+    if k > 1 and k & 1:
+        return Fraction(0)
+    acc = Fraction(-(k + 1), 2) if k > 1 else Fraction(0)  # binom(k+1, 1) B_1
+    for j in range(0, k, 2):
         acc += comb(k + 1, j) * bernoulli(j)
     return -acc / (k + 1)
 

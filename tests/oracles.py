@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations
 from math import comb, factorial, gcd, lcm
 
 
@@ -156,6 +157,54 @@ def horizontal_strip(lam: tuple, mu: tuple) -> bool:
         if i > 0 and m > padded[i - 1]:
             return False
     return True
+
+
+def giambelli_expand(lam, shape) -> list:
+    """Giambelli's determinant det(sigma_(lam_i + j - i)) in the special
+    classes of the shape, expanded over all permutations.
+
+    Returns [(coefficient, monomial), ...] sorted by monomial; a monomial is
+    a descending tuple of sigma indices in 1..n-d, the unit monomial ().
+    Entries with index below 0 or above n-d are the zero class.
+    """
+    lam = tuple(lam)
+    acc: dict = {}
+    for perm in permutations(range(len(lam))):
+        idx = [lam[i] + perm[i] - i for i in range(len(lam))]
+        if any(k < 0 or k > shape.cols for k in idx):
+            continue
+        inversions = sum(1 for i, j in combinations(range(len(perm)), 2) if perm[i] > perm[j])
+        mono = tuple(sorted((k for k in idx if k), reverse=True))
+        acc[mono] = acc.get(mono, 0) + (-1) ** inversions
+    return sorted(((c, mono) for mono, c in acc.items() if c), key=lambda item: item[1])
+
+
+def strip_pieri(lam, m: int, shape) -> tuple:
+    """[lam] * sigma_m: every box partition one horizontal m-strip larger
+    than lam, found by scanning the graded basis."""
+    from grasstodd import enumerate_box
+
+    return tuple(nu for nu in enumerate_box(shape, sum(lam) + m) if horizontal_strip(lam, nu))
+
+
+def giambelli_pieri_product(lam, mu, shape) -> dict:
+    """Integer coefficients of [lam] * [mu]: mu by Giambelli's determinant,
+    each special class applied to [lam] by `strip_pieri`."""
+    strips: dict = {}
+    out: dict = {}
+    for coeff, mono in giambelli_expand(mu, shape):
+        terms = {tuple(lam): coeff}
+        for m in mono:
+            grown: dict = {}
+            for rho, c in terms.items():
+                if (rho, m) not in strips:
+                    strips[rho, m] = strip_pieri(rho, m, shape)
+                for nu in strips[rho, m]:
+                    grown[nu] = grown.get(nu, 0) + c
+            terms = grown
+        for nu, c in terms.items():
+            out[nu] = out.get(nu, 0) + c
+    return {nu: c for nu, c in out.items() if c}
 
 
 def random_antisymmetric(rng, size: int, zero_share: float = 0.0) -> list:

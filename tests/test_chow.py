@@ -1,8 +1,11 @@
-"""Ring structure tests: Pieri, Giambelli, general products, and mod-h reduction.
+"""Ring structure tests: Pieri, general products, LR coefficients, and mod-h
+reduction.
 
-Products are checked two independent ways: against the Littlewood-Richardson
-expansion in a large ambient box, and numerically against exact Schur
-polynomial evaluation at random rational points.
+Products are checked three independent ways: against Giambelli's
+determinant applied through a basis-scanning Pieri rule (tests/oracles.py),
+against the Littlewood-Richardson coefficients free of the box, and
+numerically against exact Schur polynomial evaluation at random rational
+points.
 """
 
 from fractions import Fraction
@@ -22,7 +25,6 @@ from grasstodd import (
     conjugate,
     enumerate_box,
     from_terms,
-    giambelli_expand,
     lr_coefficient,
     multiply,
     pieri,
@@ -39,6 +41,8 @@ from oracles import (
     eager_h_echelons,
     eager_tangent_classes,
     eager_tau,
+    giambelli_expand,
+    giambelli_pieri_product,
     horizontal_strip,
     newton_power_sums,
     schur_value,
@@ -128,25 +132,15 @@ def test_pieri_respects_box():
     assert out.is_zero()
 
 
-def test_pieri_terms_are_horizontal_strips(rng):
-    for _ in range(40):
-        shape = rng.choice(SMALL_SHAPES)
-        lam = partition_in(shape, rng)
-        m = rng.randint(1, shape.cols)
-        out = pieri(schubert(shape, lam), m)
-        for mu, coeff in out.terms.items():
-            assert coeff == 1  # Pieri is multiplicity free
-            assert sum(mu) == sum(lam) + m
-            assert horizontal_strip(lam, mu)
-    # and completeness: every horizontal strip of the right size shows up
-    shape = GrassmannShape(3, 7)
-    lam = (3, 1)
-    m = 2
-    out = pieri(schubert(shape, lam), m)
-    expected = {
-        mu for mu in enumerate_box(shape, sum(lam) + m) if horizontal_strip(lam, mu)
-    }
-    assert set(out.terms) == expected
+def test_pieri_terms_are_horizontal_strips():
+    # every (lam, m) on every shape with n <= 8: exactly the horizontal
+    # m-strips in the box, found by scanning the basis, each with coefficient 1
+    for s in SMALL_SHAPES:
+        basis = [lam for w in range(s.dim + 1) for lam in enumerate_box(s, w)]
+        for lam in basis:
+            for m in range(1, s.cols + 1):
+                want = {nu: 1 for nu in enumerate_box(s, sum(lam) + m) if horizontal_strip(lam, nu)}
+                assert pieri(schubert(s, lam), m).terms == want, (s, lam, m)
 
 
 # --- Giambelli ------------------------------------------------------------
@@ -219,6 +213,63 @@ def test_multiply_matches_lr_coefficients(rng):
         prod = multiply(schubert(shape, lam), schubert(shape, mu))
         for nu, coeff in prod.terms.items():
             assert coeff == lr_coefficient(lam, mu, nu)
+
+
+def test_pair_product_matches_giambelli_pieri_oracle():
+    # every basis pair of every shape with n <= 8
+    for s in SMALL_SHAPES:
+        r = ring(s)
+        basis = [lam for w in range(s.dim + 1) for lam in enumerate_box(s, w)]
+        for lam in basis:
+            for mu in basis:
+                assert r.pair_product(lam, mu) == giambelli_pieri_product(lam, mu, s), (s, lam, mu)
+
+
+def test_lr_coefficient_builds_no_ring():
+    before = ring.cache_info()
+    assert lr_coefficient((3, 2, 1), (3, 2, 1), (4, 3, 3, 1, 1)) == 3
+    assert lr_coefficient((5, 4, 3, 2, 1), (5, 4, 3, 2, 1), (6, 5, 5, 4, 3, 2, 2, 2, 1)) == 24
+    after = ring.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
+
+def test_lr_coefficient_zero_unless_both_factors_inside_nu():
+    # right weight, but lam or mu is not contained in nu
+    assert lr_coefficient((3,), (1,), (2, 2)) == 0
+    assert lr_coefficient((1,), (3,), (2, 2)) == 0
+    assert lr_coefficient((1, 1, 1), (1,), (2, 1, 1)) == 1
+    assert lr_coefficient((1, 1, 1), (1,), (2, 2)) == 0
+    assert lr_coefficient((2, 1), (1, 1, 1), (3, 2)) == 0
+    assert lr_coefficient((), (2, 1), (2, 1)) == 1
+    assert lr_coefficient((), (), ()) == 1
+
+
+def _staircase(k):
+    return tuple(range(k, 0, -1))
+
+
+def test_lr_coefficient_matches_oracle_on_staircases():
+    # up to (4,3,2,1) x (4,3,2,1): every nu of the right weight in the box
+    # (l(lam) + l(mu)) x (lam_1 + mu_1), which holds every term
+    for i in range(5):
+        for j in range(i, 5):
+            lam, mu = _staircase(i), _staircase(j)
+            rows = max(1, i + j)
+            shape = GrassmannShape(rows, 2 * rows)
+            want = giambelli_pieri_product(lam, mu, shape)
+            for nu in enumerate_box(shape, sum(lam) + sum(mu)):
+                assert lr_coefficient(lam, mu, nu) == want.get(nu, 0), (lam, mu, nu)
+                if i != j:
+                    assert lr_coefficient(mu, lam, nu) == want.get(nu, 0), (lam, mu, nu)
+    # (5,4,3,2,1)^2: a fixed sample of nu, each in its own len(nu) x nu_1 box;
+    # the sample keeps nu_1 <= 7, as the oracle's basis scans grow with the box
+    lam = _staircase(5)
+    candidates = [nu for nu in enumerate_box(GrassmannShape(10, 17), 30)
+                  if len(nu) >= 5 and all(p >= q for p, q in zip(nu, lam))]
+    for nu in candidates[::90] + [(6, 5, 5, 4, 3, 2, 2, 2, 1)]:
+        shape = GrassmannShape(len(nu), len(nu) + nu[0])
+        want = giambelli_pieri_product(lam, lam, shape).get(nu, 0)
+        assert lr_coefficient(lam, lam, nu) == want, nu
 
 
 def test_lr_coefficient_known_values():
@@ -416,7 +467,7 @@ def test_h_columns_are_power_sum_one():
         r = ring(s)
         for w in range(s.dim):
             for lam in enumerate_box(s, w):
-                assert r.power_sum(lam, 1) == dict.fromkeys(r.pieri_partitions(lam, 1), 1)
+                assert r.power_sum(lam, 1) == r.pair_product(lam, (1,))
 
 
 def test_tangent_power_sum_is_the_product_with_the_tangent_character():

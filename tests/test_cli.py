@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import grasstodd.cli as cli_module
+from grasstodd import GrassmannShape, enumerate_box
 from grasstodd.cli import UsageError, main, parse_partition, parse_rational
 
 
@@ -273,6 +274,100 @@ def test_pfaffian_eval_fuzzed_bad_files_exit_2(text, as_json):
         code, out, err = run_quiet(["pfaffian", "eval", path] + (["--json"] if as_json else []))
     assert (code, out) == (2, ""), text
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+SHAPE = st.sampled_from([(d, n) for n in range(2, 9) for d in range(1, n)])
+WRAP = st.sampled_from(["{}", "[{}]", "({})"])
+# none of these is an int, and none holds a space or ';' that would split a
+# --class chunk in two
+BAD_PART = st.sampled_from(["x", "1.5", "1/2", "nan", "0x1", "1e3", "--1", "1-", ""])
+
+
+@st.composite
+def box_partition(draw, d, n):
+    return tuple(sorted(draw(st.lists(st.integers(1, n - d), max_size=d)), reverse=True))
+
+
+def _csv(lam):
+    return ",".join(map(str, lam))
+
+
+@st.composite
+def good_partition_text(draw, d, n):
+    return draw(WRAP).format(_csv(draw(box_partition(d, n))))
+
+
+@st.composite
+def bad_partition_text(draw, d, n):
+    """Partition text that must be refused on the d x (n-d) box. It never
+    starts with '-', which argparse would read as an option."""
+    kind = draw(st.sampled_from(["token", "order", "negative", "rows", "cols"]))
+    parts = [str(p) for p in draw(box_partition(d, n))]
+    if kind == "token":
+        parts.insert(draw(st.integers(0, len(parts))), draw(BAD_PART))
+        if parts == [""]:
+            parts.append("x")  # a lone empty token is the empty partition
+    elif kind == "order":
+        a = draw(st.integers(0, 4))
+        parts = [str(a), str(a + draw(st.integers(1, 4)))]
+    elif kind == "negative":
+        parts = [str(draw(st.integers(1, 4))), str(-draw(st.integers(1, 4)))]
+    elif kind == "rows":
+        parts = ["1"] * (d + 1)
+    else:
+        parts[:1] = [str(n - d + draw(st.integers(1, 5)))]
+    text = draw(WRAP).format(",".join(parts))
+    return f"[{text}]" if text.startswith("-") else text
+
+
+def assert_usage_error(code, out, err, argv):
+    assert (code, out) == (2, ""), argv
+    assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
+@given(shape=SHAPE, data=st.data(), as_json=st.booleans())
+def test_chow_product_partition_arguments_fuzzed(shape, data, as_json):
+    d, n = shape
+    flag = ["--json"] if as_json else []
+    good = data.draw(good_partition_text(d, n))
+    bad = data.draw(bad_partition_text(d, n))
+    m = str(data.draw(st.integers(1, n - d)))
+    other = data.draw(good_partition_text(d, n))
+    for argv in (["chow", "pieri", str(d), str(n), good, m, *flag],
+                 ["chow", "multiply", str(d), str(n), good, other, *flag]):
+        code, out, err = run_quiet(argv)
+        assert (code, err) == (0, "") and out, argv
+    pair = [bad, other] if data.draw(st.booleans()) else [other, bad]
+    for argv in (["chow", "pieri", str(d), str(n), bad, m, *flag],
+                 ["chow", "multiply", str(d), str(n), *pair, *flag]):
+        assert_usage_error(*run_quiet(argv), argv)
+
+
+@given(shape=SHAPE, data=st.data())
+def test_chow_reduce_class_terms_fuzzed(shape, data):
+    d, n = shape
+    degree = data.draw(st.integers(1, d * (n - d)))
+    basis = enumerate_box(GrassmannShape(d, n), degree)
+    chosen = data.draw(st.lists(st.sampled_from(basis), min_size=1, max_size=3, unique=True))
+    terms = [f"{data.draw(WRAP).format(_csv(lam))}:{data.draw(NUMBER)}" for lam in chosen]
+    sep = data.draw(st.sampled_from([" ", ";", " ; "]))
+    code, out, err = run_quiet(["chow", "reduce", str(d), str(n), "--class", sep.join(terms)])
+    assert (code, err) == (0, "") and out, terms
+    kind = data.draw(st.sampled_from(["partition", "coefficient", "mixed", "degree 0"]))
+    if kind == "partition":
+        bad = f"{data.draw(bad_partition_text(d, n))}:1"
+    elif kind == "coefficient":
+        bad = f"[{_csv(chosen[0])}]:{data.draw(BAD_TOKEN)}"
+    elif kind == "mixed":
+        # a drawn coefficient may be 0, which would leave one degree only
+        other = data.draw(st.integers(0, d * (n - d)).filter(lambda w: w != degree))
+        terms = [f"[{_csv(chosen[0])}]:1"]
+        bad = f"[{_csv(enumerate_box(GrassmannShape(d, n), other)[0])}]:1"
+    else:
+        terms, bad = [], "[]:1"
+    terms.insert(data.draw(st.integers(0, len(terms))), bad)
+    argv = ["chow", "reduce", str(d), str(n), "--class", sep.join(terms)]
+    assert_usage_error(*run_quiet(argv), argv)
 
 
 # -- JSON output --------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grasstodd import bernoulli, todd_log_coeffs
-from oracles import series_todd_log_coeffs
+from oracles import _bernoulli_numbers, series_todd_log_coeffs
 from testbed import (
     PolynomialAlgebra,
     elementary_from_power_sums,
@@ -43,6 +43,13 @@ def test_bernoulli_values():
 
 def test_odd_bernoulli_vanish():
     assert all(bernoulli(k) == 0 for k in range(3, 20, 2))
+
+
+def test_bernoulli_matches_full_recurrence():
+    # the oracle keeps every odd-index term of the recurrence
+    bernoulli.cache_clear()
+    want = _bernoulli_numbers(60)
+    assert [bernoulli(k) for k in range(61)] == want
 
 
 def test_todd_log_coeffs_closed_form():
