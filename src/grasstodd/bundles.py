@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial
 
-from .chow import ChowElement, ring, scale, sigma, unit, zero
+from .chow import ChowElement, combine, ring, scale, sigma, unit, zero
 from .partitions import GrassmannShape
 from .series import todd_log_coeff
 
@@ -112,22 +112,24 @@ class TangentPipeline:
         """ch_m = sign * power((), m) / m! for m >= 1, and the rank at m = 0."""
         if m == 0:
             return scale(rank, unit(self.shape))
-        f = factorial(m)
-        terms = {mu: Fraction(sign * a, f) for mu, a in power((), m).items()}
-        return self._reduce(ChowElement(self.shape, terms))
+        ch = scale(Fraction(sign, factorial(m)), ChowElement(self.shape, power((), m)))
+        return self._reduce(ch)
 
     def _recurrence(self, k: int, y, weight) -> ChowElement:
+        """y_k by one `combine`; w_j is tested before `vanishes(j)`, which
+        may build an echelon form."""
         tangent = self._ring.tangent_power_sum
-        out: dict = {}
-        for j in range(1, k + 1):
-            w = weight(j)
-            if not w or self._vanishes(j):
-                continue
-            for lam, c in y(k - j).terms.items():
-                wc = w * c
-                for mu, a in tangent(lam, j).items():
-                    out[mu] = out.get(mu, 0) + wc * a
-        return self._reduce(ChowElement(self.shape, {mu: c / k for mu, c in out.items() if c}))
+
+        def terms():
+            for j in range(1, k + 1):
+                w = weight(j)
+                if w and not self._vanishes(j):
+                    for lam, c in y(k - j).terms.items():
+                        wc = w * c
+                        for mu, a in tangent(lam, j).items():
+                            yield mu, wc * a
+
+        return self._reduce(scale(Fraction(1, k), combine(self.shape, terms())))
 
     def _todd(self, k: int) -> ChowElement:
         if k == 0:
@@ -202,7 +204,5 @@ def todd_tangent(shape: GrassmannShape, max_degree: int | None = None) -> ChowEl
     joined from the pipeline's disjoint graded pieces.
     """
     todd = chow_pipeline(shape).todd
-    terms: dict = {}
-    for k in range(_cap(shape, max_degree) + 1):
-        terms.update(todd(k).terms)
-    return ChowElement(shape, terms)
+    degrees = range(_cap(shape, max_degree) + 1)
+    return combine(shape, (term for k in degrees for term in todd(k).terms.items()))

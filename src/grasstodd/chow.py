@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import comb, gcd
+from operator import neg
 
 from .partitions import GrassmannShape, Partition, enumerate_box, fits_box, normalize_partition
 
@@ -35,6 +36,8 @@ class ChowElement:
 
     `terms` maps box partitions to nonzero Fractions. Instances are treated
     as immutable values; the dict is never mutated after construction.
+    Every sum of classes goes through `combine`, which drops the terms that
+    cancel; `ordered()` lists the terms in the `term_order` used for output.
     """
 
     shape: GrassmannShape
@@ -62,18 +65,15 @@ class ChowElement:
             raise NonHomogeneousError(f"element has degrees {ws}")
         return ws[0]
 
+    def ordered(self) -> list:
+        """The (partition, coefficient) terms in `term_order`."""
+        return [(lam, self.terms[lam]) for lam in sorted(self.terms, key=term_order)]
+
     def __add__(self, other: "ChowElement") -> "ChowElement":
         if not isinstance(other, ChowElement):
             return NotImplemented
         _check_shapes(self, other)
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            s = out.get(lam, 0) + c
-            if s:
-                out[lam] = s
-            else:
-                out.pop(lam, None)
-        return ChowElement(self.shape, out)
+        return combine(self.shape, chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "ChowElement":
         return ChowElement(self.shape, {lam: -c for lam, c in self.terms.items()})
@@ -91,29 +91,33 @@ class ChowElement:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         out = ""
-        for lam in sorted(self.terms, key=lambda p: (sum(p), _lex_key(p))):
-            c = self.terms[lam]
-            if lam:
-                name = "[" + ",".join(map(str, lam)) + "]"
-                mag = name if abs(c) == 1 else f"{abs(c)}*{name}"
-            else:
-                mag = str(abs(c))
-            if not out:
-                out = mag if c > 0 else f"-{mag}"
-            else:
-                out += f" + {mag}" if c > 0 else f" - {mag}"
-        return out
+        for lam, c in self.ordered():
+            name = "[" + ",".join(map(str, lam)) + "]"
+            mag = name if abs(c) == 1 else f"{abs(c)}*{name}"
+            if out:
+                out += " + " if c > 0 else " - "
+            elif c < 0:
+                out = "-"
+            out += mag if lam else str(abs(c))
+        return out or "0"
 
 
-def _lex_key(lam: Partition) -> tuple:
-    # graded-lex descending: larger parts first within a degree
-    return tuple(-p for p in lam)
+def term_order(lam: Partition) -> tuple:
+    """Sort key of the output order: by degree, then larger parts first."""
+    return sum(lam), tuple(map(neg, lam))
 
 
-def _check_shapes(a: ChowElement, b: ChowElement) -> None:
+def combine(shape: GrassmannShape, pairs) -> ChowElement:
+    """The sum of c * [lam] over (lam, c) pairs of box partitions and
+    coefficients, less the terms that cancel."""
+    out: dict = {}
+    for lam, c in pairs:
+        out[lam] = out[lam] + c if lam in out else c
+    return ChowElement(shape, {lam: c for lam, c in out.items() if c})
+
+
+def _check_shapes(a, b) -> None:
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
 
@@ -128,11 +132,7 @@ def unit(shape: GrassmannShape) -> ChowElement:
 
 def schubert(shape: GrassmannShape, lam, coeff=1) -> ChowElement:
     """The class of a single box partition, optionally scaled."""
-    lam = normalize_partition(lam)
-    if not fits_box(lam, shape):
-        raise ValueError(f"partition {lam} does not fit the box of {shape}")
-    c = Fraction(coeff)
-    return ChowElement(shape, {lam: c} if c else {})
+    return from_terms(shape, {tuple(lam): coeff})
 
 
 def sigma(shape: GrassmannShape, m: int) -> ChowElement:
@@ -145,15 +145,13 @@ def sigma(shape: GrassmannShape, m: int) -> ChowElement:
 
 
 def from_terms(shape: GrassmannShape, mapping) -> ChowElement:
-    out = {}
-    for lam, c in mapping.items():
-        lam = normalize_partition(lam)
+    """The class of a {partition: coefficient} mapping; every partition must
+    fit the box, and partitions equal after normalizing are summed."""
+    pairs = [(normalize_partition(lam), Fraction(c)) for lam, c in mapping.items()]
+    for lam, _ in pairs:
         if not fits_box(lam, shape):
             raise ValueError(f"partition {lam} does not fit the box of {shape}")
-        c = Fraction(c)
-        if c:
-            out[lam] = out.get(lam, Fraction(0)) + c
-    return ChowElement(shape, {k: v for k, v in out.items() if v})
+    return combine(shape, pairs)
 
 
 def add(a: ChowElement, b: ChowElement) -> ChowElement:
@@ -225,14 +223,16 @@ class _Ring:
         if hit is not None:
             return hit
         d, cols = self.shape.d, self.shape.cols
-        out: dict = {}
-        for i in range(m + 1):
-            j = m - i
-            c = comb(m, i) * (-1) ** (j + 1) if j else cols
-            for nu, a in self.power_sum(lam, j).items() if j else ((lam, 1),):
-                for mu, b in self.power_sum(nu, i).items() if i else ((nu, d),):
-                    out[mu] = out.get(mu, 0) + c * a * b
-        hit = {mu: v for mu, v in out.items() if v}
+
+        def terms():
+            for i in range(m + 1):
+                j = m - i
+                c = comb(m, i) * (-1) ** (j + 1) if j else cols
+                for nu, a in self.power_sum(lam, j).items() if j else ((lam, 1),):
+                    for mu, b in self.power_sum(nu, i).items() if i else ((nu, d),):
+                        yield mu, c * a * b
+
+        hit = combine(self.shape, terms()).terms
         self._tangent[key] = hit
         return hit
 
@@ -299,26 +299,12 @@ def ring(shape: GrassmannShape) -> _Ring:
 
 
 def pieri(a: ChowElement, m: int) -> ChowElement:
-    """Multiply by the special class sigma_m: each term gains every
-    horizontal m-strip that stays in the box (the one-row case of the
-    Littlewood-Richardson rule).
-
-    For m outside [1, n-d] the special class is zero, so the result is the
-    zero element.
-    """
-    shape = a.shape
-    if not 1 <= m <= shape.cols:
-        return zero(shape)
-    r = ring(shape)
-    out: dict = {}
-    for lam, c in a.terms.items():
-        for mu, k in r.pair_product(lam, (m,)).items():
-            s = out.get(mu, 0) + c * k
-            if s:
-                out[mu] = s
-            else:
-                out.pop(mu, None)
-    return ChowElement(shape, out)
+    """`multiply(a, sigma_m)`: each term gains every horizontal m-strip that
+    stays in the box. Zero for m outside [1, n-d], and for m = 0 too,
+    although sigma_0 is the unit."""
+    if m == 0:
+        return zero(a.shape)
+    return multiply(a, sigma(a.shape, m))
 
 
 def multiply(a: ChowElement, b: ChowElement, max_degree: int | None = None) -> ChowElement:
@@ -326,25 +312,18 @@ def multiply(a: ChowElement, b: ChowElement, max_degree: int | None = None) -> C
     _check_shapes(a, b)
     shape = a.shape
     limit = shape.dim if max_degree is None else min(max_degree, shape.dim)
-    r = ring(shape)
-    out: dict = {}
+    product = ring(shape).pair_product
     by_weight: dict = {}
     for mu, cb in b.terms.items():
         by_weight.setdefault(sum(mu), []).append((mu, cb))
-    for lam, ca in a.terms.items():
-        wa = sum(lam)
-        for wb, bucket in by_weight.items():
-            if wa + wb > limit:
-                continue
-            for mu, cb in bucket:
-                c = ca * cb
-                for nu, k in r.pair_product(lam, mu).items():
-                    s = out.get(nu, 0) + c * k
-                    if s:
-                        out[nu] = s
-                    else:
-                        out.pop(nu, None)
-    return ChowElement(shape, out)
+    return combine(shape, (
+        (nu, c * k)
+        for lam, ca in a.terms.items()
+        for wb, bucket in by_weight.items() if sum(lam) + wb <= limit
+        for mu, cb in bucket
+        for c in (ca * cb,)  # one Fraction product per pair of terms
+        for nu, k in product(lam, mu).items()
+    ))
 
 
 def lr_coefficient(lam, mu, nu) -> int:
@@ -412,26 +391,26 @@ class HMatrixSet:
     def normal_forms(self, degree: int) -> dict:
         """Canonical representative mod h of every degree basis partition.
 
-        Maps each partition to ((partition, coefficient), ...) on the
+        Maps each partition to a {partition: coefficient} dict on the
         non-pivot partitions: a non-pivot one maps to itself, the pivot of an
         echelon row to minus the rest of that row over its pivot entry. A
-        degree with zero quotient maps everything to ().
+        degree with zero quotient maps everything to {}.
         """
         hit = self._forms.get(degree)
         if hit is None:
             basis = enumerate_box(self.shape, degree)
             if self.quotient_dim(degree) == 0:
-                hit = {lam: () for lam in basis}
+                hit = {lam: {} for lam in basis}
             else:
                 rows = self.echelon(degree) if degree else ()
                 pivots = {piv for piv, _ in rows}
-                hit = {lam: ((lam, Fraction(1)),)
+                hit = {lam: {lam: Fraction(1)}
                        for k, lam in enumerate(basis) if k not in pivots}
                 for piv, row in rows:
-                    hit[basis[piv]] = tuple(
-                        (basis[k], Fraction(-a, row[piv]))
+                    hit[basis[piv]] = {
+                        basis[k]: Fraction(-a, row[piv])
                         for k, a in enumerate(row) if a and k not in pivots
-                    )
+                    }
             self._forms[degree] = hit
         return hit
 
@@ -448,9 +427,7 @@ def _integer_rref(vectors: list) -> list:
         piv = next((j for j, a in enumerate(row) if a), None)
         if piv is None:
             continue
-        g = 0
-        for a in row:
-            g = gcd(g, a)
+        g = gcd(*row)
         if row[piv] < 0:
             g = -g
         row = [a // g for a in row]
@@ -460,9 +437,7 @@ def _integer_rref(vectors: list) -> list:
             if base[piv]:
                 f, g2 = row[piv], base[piv]
                 base = [a * f - b * g2 for a, b in zip(base, row)]
-                norm = 0
-                for a in base:
-                    norm = gcd(norm, a)
+                norm = gcd(*base)
                 if base[pc] < 0:
                     norm = -norm
                 base = [a // norm for a in base]
@@ -501,20 +476,14 @@ def reduce_mod_h(a: ChowElement, hmats: HMatrixSet) -> tuple[ChowElement, bool]:
     partition of the echelon basis in its support (`normal_forms`); the
     flag is True exactly when it vanishes.
     """
-    if a.shape != hmats.shape:
-        raise ShapeMismatchError(f"shapes differ: {a.shape} vs {hmats.shape}")
+    _check_shapes(a, hmats)
     if a.is_zero():
         return a, True
     degree = a.homogeneous_degree()
     if degree < 1:
         raise NonHomogeneousError("reduction needs degree at least 1")
     forms = hmats.normal_forms(degree)
-    out: dict = {}
-    for lam, c in a.terms.items():
-        for mu, f in forms[lam]:
-            s = out.get(mu, 0) + c * f
-            if s:
-                out[mu] = s
-            else:
-                out.pop(mu, None)
-    return ChowElement(a.shape, out), not out
+    rep = combine(a.shape, (
+        (mu, c * f) for lam, c in a.terms.items() for mu, f in forms[lam].items()
+    ))
+    return rep, rep.is_zero()

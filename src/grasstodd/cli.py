@@ -27,7 +27,7 @@ from .chow import (
     ChowElement,
     NonHomogeneousError,
     build_h_matrices,
-    from_terms,
+    combine,
     multiply,
     pieri,
     reduce_mod_h,
@@ -48,22 +48,41 @@ class UsageError(Exception):
 
 
 def parse_partition(text: str) -> tuple:
-    """Accepts "2,1", "[2,1]", "(2,1)", or "" / "[]" / "0" for the empty one."""
+    """Accepts "2,1", "[2,1]", "(2,1)", or "" / "[]" / "0" for the empty one.
+
+    Each part is a string of ASCII digits: no sign, no '_' separator and no
+    other script's digits, all of which `int` would read.
+    """
     s = text.strip().strip("[]()")
     if s in ("", "0"):
         return ()
+    parts = [p.strip() for p in s.split(",")]
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise UsageError(f"malformed partition {text!r}")
     try:
-        parts = tuple(int(p) for p in s.split(","))
-    except ValueError:
-        raise UsageError(f"malformed partition {text!r}") from None
-    try:
-        return normalize_partition(parts)
+        return normalize_partition(tuple(map(int, parts)))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
+def parse_box_partition(text: str, shape: GrassmannShape) -> tuple:
+    """A partition argument that must fit the box of the shape."""
+    lam = parse_partition(text)
+    if not fits_box(lam, shape):
+        raise UsageError(f"partition {lam} does not fit the box of {shape}")
+    return lam
+
+
+def _ascii_token(token: str, what: str) -> str:
+    # int and Fraction also read '_' separators and other scripts' digits,
+    # and Fraction reads '_' only from Python 3.11 on
+    if not token.isascii() or "_" in token:
+        raise UsageError(f"malformed {what} {token!r}")
+    return token
+
+
 def parse_rational(token: str) -> Fraction:
-    """A rational such as "-3/7", "5" or "1.5".
+    """A rational such as "-3/7", "5" or "1.5", in ASCII without '_'.
 
     Exponent notation is refused before `Fraction` reads the token: it
     would build the whole integer, and "1e10000000" takes seconds.
@@ -71,33 +90,24 @@ def parse_rational(token: str) -> Fraction:
     if "e" in token or "E" in token:
         raise UsageError(f"exponent notation is not accepted: {token!r}")
     try:
-        return Fraction(token)
+        return Fraction(_ascii_token(token, "rational"))
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"malformed rational {token!r}") from None
 
 
 def parse_class(shape: GrassmannShape, specs: list) -> ChowElement:
-    """Terms like "[2,1]:-3/4"; a bare "[2,1]" means coefficient 1.
+    """Terms like "[2,1]:-3/4"; a bare "[2,1]" means coefficient 1, and a
+    ':' with no coefficient after it is an error.
 
     Each --class flag may carry several terms separated by whitespace or ';'.
     """
-    terms: dict = {}
+    pairs = []
     for spec in specs:
         for chunk in spec.replace(";", " ").split():
-            part, _, coeff = chunk.partition(":")
-            lam = parse_partition(part)
-            if not fits_box(lam, shape):
-                raise UsageError(f"partition {lam} does not fit the box of {shape}")
-            q = parse_rational(coeff) if coeff else Fraction(1)
-            terms[lam] = terms.get(lam, Fraction(0)) + q
-    return from_terms(shape, terms)
-
-
-def make_shape(d: int, n: int) -> GrassmannShape:
-    try:
-        return GrassmannShape(d, n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+            part, colon, coeff = chunk.partition(":")
+            lam = parse_box_partition(part, shape)
+            pairs.append((lam, parse_rational(coeff) if colon else Fraction(1)))
+    return combine(shape, pairs)
 
 
 def check_guard(n: int, force: bool) -> None:
@@ -105,6 +115,16 @@ def check_guard(n: int, force: bool) -> None:
         raise UsageError(
             f"n = {n} exceeds the default guard of {GUARD_N}; pass --force to proceed"
         )
+
+
+def _shape(args) -> GrassmannShape:
+    """The shape of a d n command, checked against the size guard."""
+    try:
+        shape = GrassmannShape(args.d, args.n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    check_guard(args.n, args.force)
+    return shape
 
 
 # -- serialization ------------------------------------------------------------
@@ -115,11 +135,7 @@ def ser_fraction(q: Fraction) -> dict:
 
 
 def ser_class(a: ChowElement) -> list:
-    ordered = sorted(a.terms, key=lambda p: (sum(p), tuple(-x for x in p)))
-    return [
-        {"partition": list(lam), "coefficient": ser_fraction(a.terms[lam])}
-        for lam in ordered
-    ]
+    return [{"partition": list(lam), "coefficient": ser_fraction(c)} for lam, c in a.ordered()]
 
 
 def emit_json(command: str, parameters: dict, result) -> None:
@@ -133,29 +149,24 @@ def emit_json(command: str, parameters: dict, result) -> None:
     print(json.dumps(env, sort_keys=True, separators=(",", ":")))
 
 
-def diagram(lam: tuple) -> str:
-    if not lam:
-        return "  (empty)"
-    return "\n".join("  " + "[]" * p for p in lam)
+def diagram(lam: tuple, indent: str = "  ") -> str:
+    return "\n".join(indent + "[]" * p for p in lam) if lam else indent + "(empty)"
 
 
 def print_class(a: ChowElement, diagrams: bool = False) -> None:
     print(a)
     if diagrams:
-        for lam in sorted(a.terms, key=lambda p: (sum(p), tuple(-x for x in p))):
+        for lam, _ in a.ordered():
             print(f"  {list(lam)}:")
-            for line in diagram(lam).splitlines():
-                print("  " + line)
+            print(diagram(lam, "    "))
 
 
 # -- subcommands --------------------------------------------------------------
 
 
 def cmd_roberts(args) -> int:
-    shape = make_shape(args.d, args.n)
-    check_guard(args.n, args.force)
-    mode = "verdict" if args.verdict_only else "report"
-    report = roberts_verdict(shape, mode=mode)
+    shape = _shape(args)
+    report = roberts_verdict(shape, mode="verdict" if args.verdict_only else "report")
     if args.json:
         payload = {
             "shape": {"d": shape.d, "n": shape.n, "t": shape.dim},
@@ -211,8 +222,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_chow(args) -> int:
-    shape = make_shape(args.d, args.n)
-    check_guard(args.n, args.force)
+    shape = _shape(args)
     params = {"d": args.d, "n": args.n}
     if args.chow_op == "basis":
         if not 0 <= args.degree <= shape.dim:
@@ -228,27 +238,17 @@ def cmd_chow(args) -> int:
                 if args.diagrams:
                     print(diagram(lam))
         return 0
-    if args.chow_op == "pieri":
-        lam = parse_partition(args.partition)
-        if not fits_box(lam, shape):
-            raise UsageError(f"partition {lam} does not fit the box of {shape}")
-        result = pieri(schubert(shape, lam), args.m)
-        if args.json:
-            emit_json("chow.pieri", {**params, "partition": list(lam), "m": args.m},
-                      {"class": ser_class(result)})
+    if args.chow_op in ("pieri", "multiply"):
+        lam = parse_box_partition(args.lam, shape)
+        if args.chow_op == "pieri":
+            params.update(partition=list(lam), m=args.m)
+            result = pieri(schubert(shape, lam), args.m)
         else:
-            print_class(result, args.diagrams)
-        return 0
-    if args.chow_op == "multiply":
-        lam = parse_partition(args.lam)
-        mu = parse_partition(args.mu)
-        for p in (lam, mu):
-            if not fits_box(p, shape):
-                raise UsageError(f"partition {p} does not fit the box of {shape}")
-        result = multiply(schubert(shape, lam), schubert(shape, mu))
+            mu = parse_box_partition(args.mu, shape)
+            params.update(lam=list(lam), mu=list(mu))
+            result = multiply(schubert(shape, lam), schubert(shape, mu))
         if args.json:
-            emit_json("chow.multiply", {**params, "lam": list(lam), "mu": list(mu)},
-                      {"class": ser_class(result)})
+            emit_json(f"chow.{args.chow_op}", params, {"class": ser_class(result)})
         else:
             print_class(result, args.diagrams)
         return 0
@@ -269,8 +269,7 @@ def cmd_chow(args) -> int:
 
 
 def cmd_bundle(args) -> int:
-    shape = make_shape(args.d, args.n)
-    check_guard(args.n, args.force)
+    shape = _shape(args)
     cap = shape.dim if args.max_degree is None else args.max_degree
     if not 0 <= cap <= shape.dim:
         raise UsageError(f"--max-degree must lie in [0, {shape.dim}]")
@@ -331,7 +330,7 @@ def cmd_pfaffian(args) -> int:
     if not tokens:
         raise UsageError("empty matrix file")
     try:
-        k = int(tokens[0])
+        k = int(_ascii_token(tokens[0], "matrix size"))
     except ValueError as exc:
         raise UsageError(f"malformed matrix file: {exc}") from None
     vals = [parse_rational(tok) for tok in tokens[1 : 1 + k * k]]
@@ -371,88 +370,60 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("roberts", help="Roberts-ring verdict for the cone over G_d(n)")
-    p.add_argument("d", type=int)
-    p.add_argument("n", type=int)
+    # arguments shared between subcommands, each declared once
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
+    guarded = argparse.ArgumentParser(add_help=False, parents=[as_json])
+    guarded.add_argument("--force", action="store_true", help=f"lift the n <= {GUARD_N} guard")
+    on_shape = argparse.ArgumentParser(add_help=False, parents=[guarded])
+    on_shape.add_argument("d", type=int)
+    on_shape.add_argument("n", type=int)
+    drawn = argparse.ArgumentParser(add_help=False, parents=[on_shape])
+    drawn.add_argument("--diagrams", action="store_true")
+
+    p = sub.add_parser("roberts", parents=[on_shape],
+                       help="Roberts-ring verdict for the cone over G_d(n)")
     p.add_argument("--verdict-only", action="store_true",
                    help="stop at the first nonzero component")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--force", action="store_true", help=f"lift the n <= {GUARD_N} guard")
     p.set_defaults(func=cmd_roberts)
 
-    p = sub.add_parser("table", help="verdict grid for all shapes up to max_n")
+    p = sub.add_parser("table", parents=[guarded], help="verdict grid for all shapes up to max_n")
     p.add_argument("max_n", type=int)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--force", action="store_true", help=f"lift the n <= {GUARD_N} guard")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("chow", help="Chow-ring arithmetic on the Schubert basis")
+    p.set_defaults(func=cmd_chow)
     ops = p.add_subparsers(dest="chow_op", required=True)
-
-    q = ops.add_parser("basis", help="graded basis partitions")
-    q.add_argument("d", type=int)
-    q.add_argument("n", type=int)
+    q = ops.add_parser("basis", parents=[drawn], help="graded basis partitions")
     q.add_argument("--degree", type=int, required=True)
-    q.add_argument("--diagrams", action="store_true")
-    q.add_argument("--json", action="store_true")
-    q.add_argument("--force", action="store_true", help=f"lift the n <= {GUARD_N} guard")
-    q.set_defaults(func=cmd_chow)
-
-    q = ops.add_parser("pieri", help="multiply a Schubert class by sigma_m")
-    q.add_argument("d", type=int)
-    q.add_argument("n", type=int)
-    q.add_argument("partition")
+    q = ops.add_parser("pieri", parents=[drawn], help="multiply a Schubert class by sigma_m")
+    q.add_argument("lam", metavar="partition")
     q.add_argument("m", type=int)
-    q.add_argument("--diagrams", action="store_true")
-    q.add_argument("--json", action="store_true")
-    q.add_argument("--force", action="store_true", help=f"lift the n <= {GUARD_N} guard")
-    q.set_defaults(func=cmd_chow)
-
-    q = ops.add_parser("multiply", help="product of two Schubert classes")
-    q.add_argument("d", type=int)
-    q.add_argument("n", type=int)
+    q = ops.add_parser("multiply", parents=[drawn], help="product of two Schubert classes")
     q.add_argument("lam")
     q.add_argument("mu")
-    q.add_argument("--diagrams", action="store_true")
-    q.add_argument("--json", action="store_true")
-    q.add_argument("--force", action="store_true", help=f"lift the n <= {GUARD_N} guard")
-    q.set_defaults(func=cmd_chow)
-
-    q = ops.add_parser("reduce", help="canonical representative modulo h")
-    q.add_argument("d", type=int)
-    q.add_argument("n", type=int)
+    q = ops.add_parser("reduce", parents=[on_shape], help="canonical representative modulo h")
     q.add_argument("--class", dest="cls", action="append", required=True,
                    metavar="TERMS", help='e.g. "[2]:1" or "[2,1]:-3/4 [1,1]:2"')
-    q.add_argument("--json", action="store_true")
-    q.add_argument("--force", action="store_true", help=f"lift the n <= {GUARD_N} guard")
-    q.set_defaults(func=cmd_chow)
 
-    p = sub.add_parser("bundle", help="tangent-bundle classes on G_d(n)")
-    p.add_argument("d", type=int)
-    p.add_argument("n", type=int)
+    p = sub.add_parser("bundle", parents=[on_shape], help="tangent-bundle classes on G_d(n)")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--todd", dest="which", action="store_const", const="todd")
     which.add_argument("--chern", dest="which", action="store_const", const="chern")
     which.add_argument("--ch", dest="which", action="store_const", const="ch")
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--mod-h", action="store_true", help="print components reduced mod h")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--force", action="store_true", help=f"lift the n <= {GUARD_N} guard")
     p.set_defaults(func=cmd_bundle)
 
     p = sub.add_parser("pfaffian", help="Pfaffian evaluation and ring classification")
+    p.set_defaults(func=cmd_pfaffian)
     ops = p.add_subparsers(dest="pf_op", required=True)
-
-    q = ops.add_parser("classify", help="complete-intersection / Roberts flags for B_m(n)")
+    q = ops.add_parser("classify", parents=[as_json],
+                       help="complete-intersection / Roberts flags for B_m(n)")
     q.add_argument("m", type=int)
     q.add_argument("n2", type=int, metavar="n")
-    q.add_argument("--json", action="store_true")
-    q.set_defaults(func=cmd_pfaffian)
-
-    q = ops.add_parser("eval", help="Pfaffian and determinant of a matrix file")
+    q = ops.add_parser("eval", parents=[as_json], help="Pfaffian and determinant of a matrix file")
     q.add_argument("file")
-    q.add_argument("--json", action="store_true")
-    q.set_defaults(func=cmd_pfaffian)
 
     return top
 

@@ -8,6 +8,9 @@ numerically against exact Schur polynomial evaluation at random rational
 points.
 """
 
+import contextlib
+import io
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -24,9 +27,11 @@ from grasstodd import (
     build_h_matrices,
     conjugate,
     enumerate_box,
+    fits_box,
     from_terms,
     lr_coefficient,
     multiply,
+    normalize_partition,
     pieri,
     reduce_mod_h,
     scale,
@@ -35,7 +40,8 @@ from grasstodd import (
     unit,
     zero,
 )
-from grasstodd.chow import ring
+from grasstodd.chow import combine, ring, term_order
+from grasstodd.cli import print_class, ser_class
 from oracles import (
     distinct_points,
     eager_h_echelons,
@@ -105,6 +111,72 @@ def test_str_rendering():
     text = str(e)
     assert "3/2" in text and "- " in text
     assert str(zero(s)) == "0"
+
+
+# --- the one sparse-sum kernel --------------------------------------------
+
+TINY_SHAPES = [s for s in SMALL_SHAPES if s.n <= 6]
+# few coefficients and one low-degree basis, so sums often cancel
+COEFF = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(2)])
+
+
+@st.composite
+def chow_classes(draw, shape):
+    basis = [lam for w in range(min(shape.dim, 4) + 1) for lam in enumerate_box(shape, w)]
+    return ChowElement(shape, draw(st.dictionaries(st.sampled_from(basis), COEFF, max_size=6)))
+
+
+def assert_clean(x):
+    # every stored coefficient is nonzero, on a box partition
+    assert all(x.terms.values()), x.terms
+    assert all(fits_box(lam, x.shape) and lam == normalize_partition(lam) for lam in x.terms)
+
+
+@given(st.sampled_from(TINY_SHAPES), st.data())
+def test_class_arithmetic_never_stores_a_zero_coefficient(shape, data):
+    a = data.draw(chow_classes(shape))
+    b = data.draw(chow_classes(shape))
+    q = data.draw(st.one_of(COEFF, st.just(Fraction(0))))
+    m = data.draw(st.integers(-1, shape.cols + 1))
+    for x in (a + b, a - b, b - a, multiply(a, b), multiply(a, b, max_degree=2),
+              pieri(a, m), scale(q, a)):
+        assert_clean(x)
+    assert (a - a).terms == {} and (a + (-a)).terms == {}
+    assert combine(shape, [((), Fraction(1)), ((), Fraction(-1))]).terms == {}
+    # keys equal after normalizing are summed, and cancelled ones dropped
+    dropped = data.draw(st.sets(st.sampled_from(sorted(a.terms)))) if a.terms else set()
+    mapping = {**a.terms, **{lam + (0,): -a.terms[lam] for lam in dropped}}
+    got = from_terms(shape, mapping)
+    assert_clean(got)
+    assert got.terms == {lam: c for lam, c in a.terms.items() if lam not in dropped}
+    # a homogeneous piece and its sum with an h-multiple reduce alike
+    hm = build_h_matrices(shape)
+    for k in a.degrees():
+        if k:
+            rep, is_zero = reduce_mod_h(a.component(k), hm)
+            assert_clean(rep)
+            assert is_zero == rep.is_zero()
+            shifted = a.component(k) + pieri(b.component(k - 1), 1)
+            if not shifted.is_zero():
+                assert reduce_mod_h(shifted, hm) == (rep, is_zero)
+
+
+@given(st.sampled_from(TINY_SHAPES), st.data())
+def test_str_json_and_diagrams_list_terms_in_one_order(shape, data):
+    a = data.draw(chow_classes(shape))
+    want = sorted(a.terms, key=term_order)
+    assert [lam for lam, _ in a.ordered()] == want
+    assert [tuple(t["partition"]) for t in ser_class(a)] == want
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        print_class(a, diagrams=True)
+    lines = out.getvalue().splitlines()
+    assert lines[0] == str(a)
+    shown = [tuple(int(p) for p in re.findall(r"\d+", line)) for line in lines if line.endswith(":")]
+    assert shown == want
+    # str prints the degree-0 term as a bare number
+    named = [tuple(int(p) for p in re.findall(r"\d+", m)) for m in re.findall(r"\[[\d,]*\]", str(a))]
+    assert named == [lam for lam in want if lam]
 
 
 # --- Pieri ----------------------------------------------------------------

@@ -145,6 +145,11 @@ def test_parse_partition_forms():
     assert parse_partition("(2,1)") == (2, 1)
     assert parse_partition("") == ()
     assert parse_partition("0") == ()
+    assert parse_partition("[2, 1]") == (2, 1)
+    # int() reads all of these; a part is ASCII digits only
+    for text in ("1_0", "+2,\u0661", "+1", "\u0661", "2,-1", "\uff12"):
+        with pytest.raises(UsageError, match="malformed"):
+            parse_partition(text)
 
 
 def test_bundle_text_ch(capsys):
@@ -201,9 +206,28 @@ def test_parse_rational_forms():
     assert parse_rational("-3/7") == Fraction(-3, 7)
     assert parse_rational("5") == 5
     assert parse_rational("1.5") == Fraction(3, 2)
-    for token in ("1e5", "2E-3", "1.5e0", "1/0", "x"):
+    assert parse_rational("+1") == 1
+    # "1_0" is 10 to Fraction on Python 3.11 only; the others on both
+    for token in ("1e5", "2E-3", "1.5e0", "1/0", "x", "1_0", "1/1_0", "\u0661", "\u0661/2", ""):
         with pytest.raises(UsageError):
             parse_rational(token)
+
+
+def test_class_term_needs_a_coefficient_after_the_colon(capsys):
+    code, out, err = run(capsys, "chow", "reduce", "2", "5", "--class", "[2]:")
+    assert (code, out) == (2, "")
+    assert "malformed rational ''" in err
+    code, out, _ = run(capsys, "chow", "reduce", "2", "5", "--class", "[2]")
+    assert (code, out) == (0, "representative: -[1,1]\nzero mod h: no\n")
+
+
+def test_matrix_size_line_is_plain_ascii(tmp_path, capsys):
+    for head in ("\u0661", "1_0"):
+        f = tmp_path / "z.txt"
+        f.write_text(f"{head}\n0\n", encoding="utf-8")
+        code, out, err = run(capsys, "pfaffian", "eval", str(f))
+        assert (code, out) == (2, ""), head
+        assert "malformed" in err, head
 
 
 def test_exponent_tokens_exit_2_at_once(tmp_path, capsys):
@@ -231,7 +255,8 @@ def run_quiet(argv):
 
 NUMBER = st.builds(lambda p, q: f"{p}/{q}" if q > 1 else str(p),
                    st.integers(-9, 9), st.integers(1, 4))
-BAD_TOKEN = st.sampled_from(["1/0", "x", "1/", "/2", "--3", "1//2", "0x1", "nan", "1.2.3", "1e5"])
+BAD_TOKEN = st.sampled_from(["1/0", "x", "1/", "/2", "--3", "1//2", "0x1", "nan", "1.2.3", "1e5",
+                            "1_0", "\u0661"])
 
 
 @st.composite
@@ -278,9 +303,10 @@ def test_pfaffian_eval_fuzzed_bad_files_exit_2(text, as_json):
 
 SHAPE = st.sampled_from([(d, n) for n in range(2, 9) for d in range(1, n)])
 WRAP = st.sampled_from(["{}", "[{}]", "({})"])
-# none of these is an int, and none holds a space or ';' that would split a
-# --class chunk in two
-BAD_PART = st.sampled_from(["x", "1.5", "1/2", "nan", "0x1", "1e3", "--1", "1-", ""])
+# none of these is a string of ASCII digits (int() reads the last three), and
+# none holds a space or ';' that would split a --class chunk in two
+BAD_PART = st.sampled_from(["x", "1.5", "1/2", "nan", "0x1", "1e3", "--1", "1-", "",
+                            "1_0", "+1", "\u0661"])
 
 
 @st.composite
