@@ -15,7 +15,7 @@ from grasstodd import (
     pieri,
     scale,
     ssyt_count,
-    todd_log_coeffs,
+    todd_log_coeff,
     todd_tangent,
     unit,
     zero,
@@ -23,9 +23,8 @@ from grasstodd import (
 
 print("Bernoulli numbers feed the Todd logarithm a_m = -B_m/(m*m!),")
 print("and td = exp(sum a_m m! ch_m):")
-a = todd_log_coeffs(4)
 for m in range(1, 5):
-    print(f"  B_{m} = {bernoulli(m)},  a_{m} = {a[m]}")
+    print(f"  B_{m} = {bernoulli(m)},  a_{m} = {todd_log_coeff(m)}")
 
 s = GrassmannShape(2, 5)
 box = tuple([s.cols] * s.d)

@@ -10,8 +10,9 @@ per-shape instance on the Chow ring, and every constructor here reads a
 prefix of its degrees; `cone.TauStream` is the instance whose classes are
 reduced modulo h.
 
-All constructors accept `max_degree` to truncate the computation early;
-the default carries every class up to the top degree t = d(n-d).
+Chern classes and characters are `BundleClass`es. All constructors but
+`chern_Q` take `max_degree`, the top degree to compute: None or a value
+above t = d(n-d) means every degree, and a negative one raises ValueError.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ from .series import todd_log_coeff
 
 
 @dataclass(frozen=True)
-class BundleCharacter:
-    """Graded Chern character: parts[k] is the degree-k component, k = 0..D.
+class BundleClass:
+    """Graded class of a rank-`rank` bundle: Chern classes or Chern character.
 
-    parts[0] is rank * unit; each parts[k] is homogeneous of degree k or zero.
+    parts[k] is the degree-k piece for k = 0..cap, each homogeneous of
+    degree k or zero: the unit c_0 = 1 for Chern classes, rank * unit for
+    the character. Degrees past the stored ones read as zero.
     """
 
     shape: GrassmannShape
@@ -40,25 +43,6 @@ class BundleCharacter:
     def component(self, m: int) -> ChowElement:
         if 0 <= m < len(self.parts):
             return self.parts[m]
-        return zero(self.shape)
-
-    @property
-    def ch(self) -> tuple:
-        """Components indexed from degree 1 (rank excluded)."""
-        return self.parts[1:]
-
-
-@dataclass(frozen=True)
-class BundleChern:
-    """Chern classes c_1..c_D of a bundle; c_i = 0 for i > rank is implicit."""
-
-    shape: GrassmannShape
-    rank: int
-    c: tuple
-
-    def component(self, i: int) -> ChowElement:
-        if 1 <= i <= len(self.c):
-            return self.c[i - 1]
         return zero(self.shape)
 
 
@@ -155,46 +139,44 @@ def chow_pipeline(shape: GrassmannShape) -> TangentPipeline:
 
 
 def _cap(shape: GrassmannShape, max_degree: int | None) -> int:
-    return shape.dim if max_degree is None else max(0, min(max_degree, shape.dim))
+    if max_degree is not None and max_degree < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
+    return shape.dim if max_degree is None else min(max_degree, shape.dim)
 
 
-def _character(shape: GrassmannShape, rank: int, piece, max_degree) -> BundleCharacter:
-    return BundleCharacter(shape, rank, tuple(piece(m) for m in range(_cap(shape, max_degree) + 1)))
+def _character(shape: GrassmannShape, rank: int, piece, max_degree) -> BundleClass:
+    return BundleClass(shape, rank, tuple(piece(m) for m in range(_cap(shape, max_degree) + 1)))
 
 
-def chern_Q(shape: GrassmannShape) -> BundleChern:
+def chern_Q(shape: GrassmannShape) -> BundleClass:
     """Chern classes of the rank-(n-d) quotient bundle: c_m = sigma_m."""
-    return BundleChern(
-        shape, shape.cols, tuple(sigma(shape, m) for m in range(1, shape.cols + 1))
-    )
+    return _character(shape, shape.cols, partial(sigma, shape), shape.cols)
 
 
-def ch_Q(shape: GrassmannShape, max_degree: int | None = None) -> BundleCharacter:
+def ch_Q(shape: GrassmannShape, max_degree: int | None = None) -> BundleClass:
     """Chern character of Q: m! ch_m(Q) = (-1)^(m+1) p_m, by the Murnaghan-Nakayama step."""
     return _character(shape, shape.cols, chow_pipeline(shape).ch_q, max_degree)
 
 
-def ch_S(shape: GrassmannShape, max_degree: int | None = None) -> BundleCharacter:
+def ch_S(shape: GrassmannShape, max_degree: int | None = None) -> BundleClass:
     """Chern character of the subbundle: ch(S) = n - ch(Q) by additivity."""
     return _character(shape, shape.d, chow_pipeline(shape).ch_s, max_degree)
 
 
-def ch_S_dual(shape: GrassmannShape, max_degree: int | None = None) -> BundleCharacter:
+def ch_S_dual(shape: GrassmannShape, max_degree: int | None = None) -> BundleClass:
     """Chern character of S*: degree-m component picks up (-1)^m."""
     return _character(shape, shape.d, chow_pipeline(shape).ch_s_dual, max_degree)
 
 
-def ch_tangent(shape: GrassmannShape, max_degree: int | None = None) -> BundleCharacter:
+def ch_tangent(shape: GrassmannShape, max_degree: int | None = None) -> BundleClass:
     """Chern character of the tangent bundle: ch(T) = ch(S*) ch(Q), each m! ch_m(T)
     acting on the unit through `_Ring.tangent_power_sum`."""
     return _character(shape, shape.dim, chow_pipeline(shape).ch_tangent, max_degree)
 
 
-def chern_tangent(shape: GrassmannShape, max_degree: int | None = None) -> BundleChern:
+def chern_tangent(shape: GrassmannShape, max_degree: int | None = None) -> BundleClass:
     """Chern classes of the tangent bundle, recovered from its character."""
-    chern = chow_pipeline(shape).chern
-    cap = _cap(shape, max_degree)
-    return BundleChern(shape, shape.dim, tuple(chern(m) for m in range(1, cap + 1)))
+    return _character(shape, shape.dim, chow_pipeline(shape).chern, max_degree)
 
 
 def todd_tangent(shape: GrassmannShape, max_degree: int | None = None) -> ChowElement:

@@ -154,10 +154,6 @@ def from_terms(shape: GrassmannShape, mapping) -> ChowElement:
     return combine(shape, pairs)
 
 
-def add(a: ChowElement, b: ChowElement) -> ChowElement:
-    return a + b
-
-
 def scale(q, a: ChowElement) -> ChowElement:
     q = Fraction(q)
     if not q:
@@ -300,18 +296,15 @@ def ring(shape: GrassmannShape) -> _Ring:
 
 def pieri(a: ChowElement, m: int) -> ChowElement:
     """`multiply(a, sigma_m)`: each term gains every horizontal m-strip that
-    stays in the box. Zero for m outside [1, n-d], and for m = 0 too,
-    although sigma_0 is the unit."""
-    if m == 0:
-        return zero(a.shape)
+    stays in the box. a itself for m = 0, where sigma_0 is the unit, and
+    zero for m outside [0, n-d]."""
     return multiply(a, sigma(a.shape, m))
 
 
-def multiply(a: ChowElement, b: ChowElement, max_degree: int | None = None) -> ChowElement:
-    """Product of two classes; terms above max_degree are dropped."""
+def multiply(a: ChowElement, b: ChowElement) -> ChowElement:
+    """Product of two classes; pairs of terms above the top degree are skipped."""
     _check_shapes(a, b)
     shape = a.shape
-    limit = shape.dim if max_degree is None else min(max_degree, shape.dim)
     product = ring(shape).pair_product
     by_weight: dict = {}
     for mu, cb in b.terms.items():
@@ -319,7 +312,7 @@ def multiply(a: ChowElement, b: ChowElement, max_degree: int | None = None) -> C
     return combine(shape, (
         (nu, c * k)
         for lam, ca in a.terms.items()
-        for wb, bucket in by_weight.items() if sum(lam) + wb <= limit
+        for wb, bucket in by_weight.items() if sum(lam) + wb <= shape.dim
         for mu, cb in bucket
         for c in (ca * cb,)  # one Fraction product per pair of terms
         for nu, k in product(lam, mu).items()

@@ -275,20 +275,21 @@ def cmd_bundle(args) -> int:
         raise UsageError(f"--max-degree must lie in [0, {shape.dim}]")
     hm = build_h_matrices(shape) if args.mod_h else None
 
-    # the pipeline's graded pieces, read one degree at a time
+    # the pipeline's graded pieces, read one degree at a time, and their reductions
     pipe = chow_pipeline(shape)
     piece = {"todd": pipe.todd, "ch": pipe.ch_tangent, "chern": pipe.chern}[args.which]
-    entries, shown = [], []
+    rows = []
     for k in range(1 if args.which == "chern" else 0, cap + 1):
         cls = piece(k)
-        entry = {"degree": k, "class": ser_class(cls)}
-        if hm is not None and k >= 1:
-            cls, entry["is_zero"] = reduce_mod_h(cls, hm)
-            entry["reduced"] = ser_class(cls)
-        entries.append(entry)
-        shown.append((k, cls))
+        rows.append((k, cls, reduce_mod_h(cls, hm) if hm is not None and k >= 1 else None))
 
     if args.json:
+        entries = []
+        for k, cls, reduced in rows:
+            entry = {"degree": k, "class": ser_class(cls)}
+            if reduced:
+                entry.update(is_zero=reduced[1], reduced=ser_class(reduced[0]))
+            entries.append(entry)
         emit_json(
             f"bundle.{args.which}",
             {"d": args.d, "n": args.n, "max_degree": cap, "mod_h": bool(args.mod_h)},
@@ -298,8 +299,8 @@ def cmd_bundle(args) -> int:
         label = {"todd": "td", "ch": "ch", "chern": "c"}[args.which]
         suffix = " (reduced mod h)" if args.mod_h else ""
         print(f"{label} of the tangent bundle on G_{shape.d}({shape.n}){suffix}")
-        for k, cls in shown:
-            print(f"deg {k}: {cls}")
+        for k, cls, reduced in rows:
+            print(f"deg {k}: {reduced[0] if reduced else cls}")
     return 0
 
 

@@ -9,6 +9,8 @@ Plucker line bundle reproduces the tableau count of sections.
 from fractions import Fraction
 from math import comb, factorial
 
+import pytest
+
 import grasstodd.bundles as bundles_module
 import grasstodd.chow as chow_module
 from grasstodd import (
@@ -185,16 +187,31 @@ def test_component_out_of_range_is_zero():
     assert ch_Q(s).component(99).is_zero()
     assert chern_Q(s).component(99).is_zero()
     assert ch_Q(s).component(0) == scale(3, unit(s))
-    assert len(ch_Q(s).ch) == s.dim
+    assert len(ch_Q(s).parts[1:]) == s.dim
+
+
+def test_chern_classes_start_at_the_unit():
+    # c_0 = 1, like sigma_0 = [G]
+    for s in SHAPES:
+        assert chern_Q(s).component(0) == chern_tangent(s).component(0) == unit(s), s
+        assert chern_Q(s).parts == tuple(sigma(s, m) for m in range(s.cols + 1)), s
+
+
+def test_max_degree_below_zero_is_an_error_and_above_t_is_everything():
+    s = GrassmannShape(2, 5)
+    for fn in (ch_Q, ch_S, ch_S_dual, ch_tangent, chern_tangent, todd_tangent):
+        for bad in (-1, -3):
+            with pytest.raises(ValueError, match="max_degree"):
+                fn(s, bad)
+        assert fn(s, s.dim + 4) == fn(s, s.dim) == fn(s), fn.__name__
 
 
 def check_against_oracle(s, oracle, cap):
     top = s.dim if cap is None else cap
     want_todd = {lam: c for lam, c in oracle["todd"].terms.items() if sum(lam) <= top}
     assert todd_tangent(s, cap).terms == want_todd, (s, cap)
-    ct = chern_tangent(s, cap)
-    assert (ct.rank, ct.c) == (s.dim, tuple(oracle["chern_tangent"][1 : top + 1])), (s, cap)
-    for fn, rank in ((ch_Q, s.cols), (ch_S, s.d), (ch_S_dual, s.d), (ch_tangent, s.dim)):
+    for fn, rank in ((ch_Q, s.cols), (ch_S, s.d), (ch_S_dual, s.d), (ch_tangent, s.dim),
+                     (chern_tangent, s.dim)):
         got = fn(s, cap)
         assert (got.rank, got.parts) == (rank, tuple(oracle[fn.__name__][: top + 1])), (s, cap)
 
@@ -248,6 +265,6 @@ def test_pipeline_pieces_match_the_joined_classes():
             for piece, want in (
                 (pipe.todd(k), td.component(k)),
                 (pipe.ch_tangent(k), cht.component(k)),
-                (pipe.chern(k), ct.component(k) if k else unit(s)),
+                (pipe.chern(k), ct.component(k)),
             ):
                 assert piece == want and list(piece.terms) == list(want.terms), (s, k)

@@ -23,7 +23,6 @@ from grasstodd import (
     HMatrixSet,
     NonHomogeneousError,
     ShapeMismatchError,
-    add,
     build_h_matrices,
     conjugate,
     enumerate_box,
@@ -101,13 +100,13 @@ def test_add_scale_shape_mismatch():
     a = unit(GrassmannShape(2, 4))
     b = unit(GrassmannShape(2, 5))
     with pytest.raises(ShapeMismatchError):
-        add(a, b)
+        a + b
     assert scale(Fraction(0), a).is_zero()
 
 
 def test_str_rendering():
     s = GrassmannShape(2, 5)
-    e = add(scale(Fraction(3, 2), schubert(s, (2,))), scale(Fraction(-1), schubert(s, (1, 1))))
+    e = scale(Fraction(3, 2), schubert(s, (2,))) + scale(Fraction(-1), schubert(s, (1, 1)))
     text = str(e)
     assert "3/2" in text and "- " in text
     assert str(zero(s)) == "0"
@@ -138,8 +137,7 @@ def test_class_arithmetic_never_stores_a_zero_coefficient(shape, data):
     b = data.draw(chow_classes(shape))
     q = data.draw(st.one_of(COEFF, st.just(Fraction(0))))
     m = data.draw(st.integers(-1, shape.cols + 1))
-    for x in (a + b, a - b, b - a, multiply(a, b), multiply(a, b, max_degree=2),
-              pieri(a, m), scale(q, a)):
+    for x in (a + b, a - b, b - a, multiply(a, b), pieri(a, m), scale(q, a)):
         assert_clean(x)
     assert (a - a).terms == {} and (a + (-a)).terms == {}
     assert combine(shape, [((), Fraction(1)), ((), Fraction(-1))]).terms == {}
@@ -182,12 +180,18 @@ def test_str_json_and_diagrams_list_terms_in_one_order(shape, data):
 # --- Pieri ----------------------------------------------------------------
 
 def test_pieri_zero_outside_range():
-    # sigma_m is the zero class outside [1, n-d], so the product collapses
+    # sigma_0 is the unit and sigma_m the zero class outside [0, n-d]
     s = GrassmannShape(2, 5)
-    assert pieri(unit(s), 0).is_zero()
+    assert pieri(unit(s), 0) == unit(s)
     assert pieri(unit(s), 4).is_zero()
     assert pieri(unit(s), -1).is_zero()
     assert pieri(unit(s), 3).coefficient((3,)) == 1
+
+
+def test_pieri_by_sigma_zero_is_the_identity():
+    for s in TINY_SHAPES:
+        for lam in (lam for w in range(s.dim + 1) for lam in enumerate_box(s, w)):
+            assert pieri(schubert(s, lam), 0) == schubert(s, lam), (s, lam)
 
 
 def test_pieri_single_box():
@@ -243,7 +247,7 @@ def test_giambelli_reproduces_schubert_class(rng):
             term = unit(shape)
             for m in mono:
                 term = pieri(term, m)
-            total = add(total, scale(Fraction(coeff), term))
+            total = total + scale(Fraction(coeff), term)
         assert total == schubert(shape, lam)
 
 
@@ -265,16 +269,6 @@ def test_plucker_degrees_via_top_powers():
             power = pieri(power, 1)
         box = tuple([s.cols] * s.d)
         assert power.coefficient(box) == expected
-
-
-def test_multiply_max_degree_truncates():
-    s = GrassmannShape(3, 6)
-    a = add(sigma(s, 1), sigma(s, 2))
-    full = multiply(a, a)
-    cut = multiply(a, a, max_degree=3)
-    assert set(cut.degrees()) <= {2, 3}
-    for deg in (2, 3):
-        assert cut.component(deg) == full.component(deg)
 
 
 def test_multiply_matches_lr_coefficients(rng):
@@ -466,7 +460,7 @@ def test_reduce_mod_h_canonical_and_idempotent():
     rep2, _ = reduce_mod_h(rep, hm)
     assert rep2 == rep
     # representatives of the same coset agree
-    shifted = add(sigma(s, 2), pieri(sigma(s, 1), 1))
+    shifted = sigma(s, 2) + pieri(sigma(s, 1), 1)
     rep3, _ = reduce_mod_h(shifted, hm)
     assert rep3 == rep
 
@@ -474,7 +468,7 @@ def test_reduce_mod_h_canonical_and_idempotent():
 def test_reduce_mod_h_rejects_mixed_degrees():
     s = GrassmannShape(2, 5)
     hm = build_h_matrices(s)
-    mixed = add(sigma(s, 1), sigma(s, 2))
+    mixed = sigma(s, 1) + sigma(s, 2)
     with pytest.raises(NonHomogeneousError):
         reduce_mod_h(mixed, hm)
 

@@ -107,6 +107,14 @@ def test_chow_pieri_text(capsys):
     assert "[2]" in out and "[1,1]" in out
 
 
+def test_chow_pieri_by_sigma_zero_lists_the_partition(capsys):
+    code, out = run_json(capsys, "chow", "pieri", "2", "5", "[2,1]", "0", "--json")
+    assert code == 0
+    assert out["result"]["class"] == [
+        {"coefficient": {"den": "1", "num": "1"}, "partition": [2, 1]}
+    ]
+
+
 def test_chow_multiply_text(capsys):
     code, out, _ = run(capsys, "chow", "multiply", "2", "4", "1", "1")
     assert code == 0
@@ -166,6 +174,18 @@ def test_bundle_text_todd_mod_h(capsys):
     lines = [l for l in out.splitlines() if l.startswith("deg ")]
     assert lines[1] == "deg 1: 0"  # td_1 is a multiple of h
     assert "1/12" in lines[2]
+
+
+def test_bundle_text_mod_h_builds_no_json(capsys, monkeypatch):
+    calls = []
+    ser_class = cli_module.ser_class
+    monkeypatch.setattr(cli_module, "ser_class", lambda cls: calls.append(cls) or ser_class(cls))
+    for which in ("--todd", "--ch", "--chern"):
+        code, out, _ = run(capsys, "bundle", "3", "6", which, "--mod-h")
+        assert code == 0 and "(reduced mod h)" in out
+    assert calls == []
+    code, _ = run_json(capsys, "bundle", "3", "6", "--todd", "--mod-h", "--json")
+    assert code == 0 and calls  # the spy sees the JSON path
 
 
 def test_bundle_max_degree_validation(capsys):

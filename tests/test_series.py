@@ -12,7 +12,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from grasstodd import bernoulli, todd_log_coeffs
+from grasstodd import bernoulli, todd_log_coeff
 from oracles import _bernoulli_numbers, series_todd_log_coeffs
 from testbed import (
     PolynomialAlgebra,
@@ -54,7 +54,7 @@ def test_bernoulli_matches_full_recurrence():
 
 def test_todd_log_coeffs_closed_form():
     # a_m = -B_m / (m * m!) for m >= 1 (B_1 = -1/2 convention)
-    a = todd_log_coeffs(10)
+    a = [todd_log_coeff(m) for m in range(11)]
     assert a[0] == 0
     for m in range(1, 11):
         assert a[m] == -bernoulli(m) / (m * factorial(m))
@@ -67,15 +67,14 @@ def test_todd_log_coeffs_closed_form():
 def test_todd_log_coeffs_match_series_arithmetic():
     # the closed form against the reciprocal and logarithm of the series
     for trunc in (1, 2, 7, 16, 36):
-        assert list(todd_log_coeffs(trunc).a) == series_todd_log_coeffs(trunc)
+        assert [todd_log_coeff(m) for m in range(trunc + 1)] == series_todd_log_coeffs(trunc)
 
 
 def test_todd_log_coeffs_bounds():
-    a = todd_log_coeffs(4)
-    with pytest.raises(IndexError):
-        a[5]
+    # defined from m = 0; a negative index is an error, not a zero
+    assert todd_log_coeff(0) == 0
     with pytest.raises(ValueError):
-        todd_log_coeffs(0)
+        todd_log_coeff(-1)
 
 
 def test_exp_of_todd_log_is_todd_series():
@@ -85,10 +84,9 @@ def test_exp_of_todd_log_is_todd_series():
     alg = PolynomialAlgebra({"t": 1}, trunc)
     ctx = alg.context()
     t = alg.generator("t")
-    a = todd_log_coeffs(trunc)
     x = alg.zero()
     for m in range(1, trunc + 1):
-        x = x + a[m] * t ** m
+        x = x + todd_log_coeff(m) * t ** m
     y = exp_graded(x, ctx)
     for k in range(trunc + 1):
         assert y.coefficient({"t": k}) == Fraction((-1) ** k) * bernoulli(k) / factorial(k)

@@ -11,12 +11,13 @@ tangent-bundle class from the Murnaghan-Nakayama power-sum step instead.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from grasstodd import ChowElement, GrassmannShape, add, multiply, pieri, scale, unit, zero
+from grasstodd import ChowElement, GrassmannShape, multiply, pieri, scale, unit, zero
 
 
 @dataclass(frozen=True)
@@ -314,7 +315,7 @@ def graded_context(shape: GrassmannShape) -> GradedContext:
         truncation=shape.dim,
         zero=zero(shape),
         one=unit(shape),
-        add=add,
+        add=operator.add,
         scale=scale,
         mul=multiply,
         component=ChowElement.component,
