@@ -19,7 +19,7 @@ import json
 import locale  # noqa: F401
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from . import __version__
 from .bundles import chow_pipeline
@@ -363,82 +363,170 @@ def cmd_pfaffian(args) -> int:
 # -- argument wiring ----------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="grasstodd",
-        description="Exact Schubert calculus and Roberts-ring verdicts for Grassmannian cones.",
-    )
-    top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = top.add_subparsers(dest="command", required=True)
+def _add_shared(p, *, force=True, shape=True, diagrams=False) -> None:
+    """Adds the arguments that several commands share, each declared only
+    here, in this order: --json, --force, d n, --diagrams."""
+    p.add_argument("--json", action="store_true")
+    if force:
+        p.add_argument("--force", action="store_true", help=f"lift the n <= {GUARD_N} guard")
+    if shape:
+        p.add_argument("d", type=int)
+        p.add_argument("n", type=int)
+    if diagrams:
+        p.add_argument("--diagrams", action="store_true")
 
-    # arguments shared between subcommands, each declared once
-    as_json = argparse.ArgumentParser(add_help=False)
-    as_json.add_argument("--json", action="store_true")
-    guarded = argparse.ArgumentParser(add_help=False, parents=[as_json])
-    guarded.add_argument("--force", action="store_true", help=f"lift the n <= {GUARD_N} guard")
-    on_shape = argparse.ArgumentParser(add_help=False, parents=[guarded])
-    on_shape.add_argument("d", type=int)
-    on_shape.add_argument("n", type=int)
-    drawn = argparse.ArgumentParser(add_help=False, parents=[on_shape])
-    drawn.add_argument("--diagrams", action="store_true")
 
-    p = sub.add_parser("roberts", parents=[on_shape],
-                       help="Roberts-ring verdict for the cone over G_d(n)")
+def _roberts_args(p) -> None:
+    _add_shared(p)
     p.add_argument("--verdict-only", action="store_true",
                    help="stop at the first nonzero component")
-    p.set_defaults(func=cmd_roberts)
 
-    p = sub.add_parser("table", parents=[guarded], help="verdict grid for all shapes up to max_n")
+
+def _table_args(p) -> None:
+    _add_shared(p, shape=False)
     p.add_argument("max_n", type=int)
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("chow", help="Chow-ring arithmetic on the Schubert basis")
-    p.set_defaults(func=cmd_chow)
-    ops = p.add_subparsers(dest="chow_op", required=True)
-    q = ops.add_parser("basis", parents=[drawn], help="graded basis partitions")
-    q.add_argument("--degree", type=int, required=True)
-    q = ops.add_parser("pieri", parents=[drawn], help="multiply a Schubert class by sigma_m")
-    q.add_argument("lam", metavar="partition")
-    q.add_argument("m", type=int)
-    q = ops.add_parser("multiply", parents=[drawn], help="product of two Schubert classes")
-    q.add_argument("lam")
-    q.add_argument("mu")
-    q = ops.add_parser("reduce", parents=[on_shape], help="canonical representative modulo h")
-    q.add_argument("--class", dest="cls", action="append", required=True,
+
+def _basis_args(p) -> None:
+    _add_shared(p, diagrams=True)
+    p.add_argument("--degree", type=int, required=True)
+
+
+def _pieri_args(p) -> None:
+    _add_shared(p, diagrams=True)
+    p.add_argument("lam", metavar="partition")
+    p.add_argument("m", type=int)
+
+
+def _multiply_args(p) -> None:
+    _add_shared(p, diagrams=True)
+    p.add_argument("lam")
+    p.add_argument("mu")
+
+
+def _reduce_args(p) -> None:
+    _add_shared(p)
+    p.add_argument("--class", dest="cls", action="append", required=True,
                    metavar="TERMS", help='e.g. "[2]:1" or "[2,1]:-3/4 [1,1]:2"')
 
-    p = sub.add_parser("bundle", parents=[on_shape], help="tangent-bundle classes on G_d(n)")
+
+def _bundle_args(p) -> None:
+    _add_shared(p)
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--todd", dest="which", action="store_const", const="todd")
     which.add_argument("--chern", dest="which", action="store_const", const="chern")
     which.add_argument("--ch", dest="which", action="store_const", const="ch")
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--mod-h", action="store_true", help="print components reduced mod h")
-    p.set_defaults(func=cmd_bundle)
 
-    p = sub.add_parser("pfaffian", help="Pfaffian evaluation and ring classification")
-    p.set_defaults(func=cmd_pfaffian)
-    ops = p.add_subparsers(dest="pf_op", required=True)
-    q = ops.add_parser("classify", parents=[as_json],
-                       help="complete-intersection / Roberts flags for B_m(n)")
-    q.add_argument("m", type=int)
-    q.add_argument("n2", type=int, metavar="n")
-    q = ops.add_parser("eval", parents=[as_json], help="Pfaffian and determinant of a matrix file")
-    q.add_argument("file")
 
+def _classify_args(p) -> None:
+    _add_shared(p, force=False, shape=False)
+    p.add_argument("m", type=int)
+    p.add_argument("n2", type=int, metavar="n")
+
+
+def _eval_args(p) -> None:
+    _add_shared(p, force=False, shape=False)
+    p.add_argument("file")
+
+
+# The leaf commands, in --help order: the words that name each one, mapped to
+# its help line, the function that runs it and the function that declares its
+# arguments. The full tree and every narrowed leaf parser are built from here.
+LEAVES = {
+    ("roberts",): ("Roberts-ring verdict for the cone over G_d(n)", cmd_roberts, _roberts_args),
+    ("table",): ("verdict grid for all shapes up to max_n", cmd_table, _table_args),
+    ("chow", "basis"): ("graded basis partitions", cmd_chow, _basis_args),
+    ("chow", "pieri"): ("multiply a Schubert class by sigma_m", cmd_chow, _pieri_args),
+    ("chow", "multiply"): ("product of two Schubert classes", cmd_chow, _multiply_args),
+    ("chow", "reduce"): ("canonical representative modulo h", cmd_chow, _reduce_args),
+    ("bundle",): ("tangent-bundle classes on G_d(n)", cmd_bundle, _bundle_args),
+    ("pfaffian", "classify"): ("complete-intersection / Roberts flags for B_m(n)",
+                               cmd_pfaffian, _classify_args),
+    ("pfaffian", "eval"): ("Pfaffian and determinant of a matrix file", cmd_pfaffian, _eval_args),
+}
+
+# The first word of a two-word leaf: its help line and the attribute that
+# holds the second word.
+GROUPS = {
+    "chow": ("Chow-ring arithmetic on the Schubert basis", "chow_op"),
+    "pfaffian": ("Pfaffian evaluation and ring classification", "pf_op"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree, every leaf of `LEAVES` under its group.
+
+    `main` parses with it only when argv names no leaf (empty argv, -h,
+    --version, an unknown command) or leaves arguments over after one; it
+    gives the same `Namespace`, help and errors as each narrowed parser.
+    """
+    top = argparse.ArgumentParser(
+        prog="grasstodd",
+        description="Exact Schubert calculus and Roberts-ring verdicts for Grassmannian cones.",
+    )
+    top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = top.add_subparsers(dest="command", required=True)
+    ops = {}
+    for path, (help_text, func, declare) in LEAVES.items():
+        if len(path) == 1:
+            p = sub.add_parser(path[0], help=help_text)
+        else:
+            if path[0] not in ops:
+                group_help, dest = GROUPS[path[0]]
+                group = sub.add_parser(path[0], help=group_help)
+                ops[path[0]] = group.add_subparsers(dest=dest, required=True)
+            p = ops[path[0]].add_parser(path[1], help=help_text)
+        declare(p)
+        p.set_defaults(func=func)
     return top
 
 
+@lru_cache(maxsize=len(LEAVES) + 1)
+def _shared_parser(path: tuple = ()) -> argparse.ArgumentParser:
+    """The full tree for (), else the parser of the leaf `path` alone, with
+    the prog and the defaults that the full tree gives that leaf, so that its
+    help, errors and Namespace match the tree's. Each parser is built on
+    first use, not at import, and reused after that; the keys are the leaves
+    and (), so the cache holds at most len(LEAVES) + 1 parsers."""
+    if not path:
+        return build_parser()
+    _, func, declare = LEAVES[path]
+    p = argparse.ArgumentParser(prog=" ".join(("grasstodd", *path)))
+    declare(p)
+    p.set_defaults(command=path[0], func=func)
+    if len(path) == 2:
+        p.set_defaults(**{GROUPS[path[0]][1]: path[1]})
+    return p
+
+
+def parse_args(argv: list) -> argparse.Namespace:
+    """argv parsed by the parser of the leaf that its first words name, or
+    by the full tree when they name none.
+
+    Arguments left over after a leaf are reported by the full tree, whose
+    usage line heads that message.
+    """
+    path = tuple(argv[:2]) if argv and argv[0] in GROUPS else tuple(argv[:1])
+    if path in LEAVES:
+        args, extras = _shared_parser(path).parse_known_args(argv[len(path):])
+        if not extras:
+            return args
+    return _shared_parser().parse_args(argv)
+
+
 @cache
-def _shared_parser() -> argparse.ArgumentParser:
-    # built on the first main() call, not at import, and reused after that;
-    # freezing the imports' objects keeps them out of every later collection
+def _freeze_imports() -> None:
+    # once per process, at the first command, so the objects the imports
+    # built stay out of every later collection; a second freeze would also
+    # take in what the first command cached
     gc.freeze()
-    return build_parser()
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    _freeze_imports()
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except UsageError as exc:

@@ -7,8 +7,10 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -532,5 +534,102 @@ def test_main_reuses_one_parser_without_leaking_state(capsys, monkeypatch):
             [sys.executable, "-m", "grasstodd", *argv], capture_output=True, text=True,
         )
         assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    # one parser per distinct leaf: roberts, chow multiply, pfaffian classify
     info = cli_module._shared_parser.cache_info()
-    assert (info.misses, info.hits) == (1, len(sequence) - 1)
+    assert (info.misses, info.hits) == (3, len(sequence) - 3)
+
+
+def test_second_command_freezes_nothing_more():
+    # a second freeze would also freeze the caches the first command filled;
+    # the count may fall, as frozen objects are freed
+    probe = ("import gc, grasstodd.cli as cli; cli.main(['pfaffian', 'classify', '2', '4']); "
+             "first = gc.get_freeze_count(); cli.main(['roberts', '2', '4']); "
+             "print(0 < gc.get_freeze_count() <= first)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().endswith("True")
+
+
+def test_cold_command_builds_only_its_own_leaf():
+    # counts every parser built from the import on, so the import must build none
+    probe = textwrap.dedent("""
+        import argparse, contextlib, io
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting_init
+        import grasstodd.cli as cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["roberts", "2", "5", "--verdict-only", "--json"])
+        size = cli._shared_parser.cache_info().currsize
+        cli._shared_parser(("roberts",))  # a hit when the one cached key is this leaf
+        info = cli._shared_parser.cache_info()
+        print(len(built), size, info.misses, info.hits)
+    """)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    built, size, misses, hits = map(int, out.stdout.split())
+    assert built <= 1
+    assert (size, misses, hits) == (1, 1, 1)
+
+
+# -- the narrowed parse against the full tree ---------------------------------
+
+FULL_TREE = cli_module.build_parser()
+ARGV_WORD = st.sampled_from([
+    "roberts", "table", "chow", "basis", "pieri", "multiply", "reduce", "bundle", "pfaffian",
+    "classify", "eval", "bogus", "2", "5", "13", "-1", "x", "[2,1]", "stray", "--",
+    "--json", "--force", "--verd", "--todd", "--ch", "--mod-h", "--max-degree", "--degree",
+    "--class", "--diagrams", "-h", "--help", "--version", "--vers", "-x",
+])
+# one argv tail that parses, per leaf, for the drawn words to break
+VALID_TAIL = {
+    ("roberts",): ["2", "5"],
+    ("table",): ["5"],
+    ("chow", "basis"): ["2", "5", "--degree", "1"],
+    ("chow", "pieri"): ["2", "5", "[2,1]", "1"],
+    ("chow", "multiply"): ["2", "5", "1", "1"],
+    ("chow", "reduce"): ["2", "5", "--class", "[2]:1"],
+    ("bundle",): ["2", "5", "--todd"],
+    ("pfaffian", "classify"): ["2", "4"],
+    ("pfaffian", "eval"): ["z.txt"],
+}
+
+
+def test_valid_tails_name_every_leaf():
+    assert set(VALID_TAIL) == set(cli_module.LEAVES)
+
+
+@st.composite
+def command_lines(draw):
+    head = draw(st.sampled_from([*VALID_TAIL, (), ("chow",), ("pfaffian",), ("bogus",)]))
+    tail = list(VALID_TAIL.get(head, [])) if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 3))):
+        tail.insert(draw(st.integers(0, len(tail))), draw(ARGV_WORD))
+    return [*head, *tail]
+
+
+def parse_outcome(parse, argv):
+    """The Namespace that parse(argv) returns, or its exit code and output."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse(argv), out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@given(argv=command_lines())
+def test_narrowed_parse_matches_the_full_tree(argv):
+    assert parse_outcome(cli_module.parse_args, argv) == parse_outcome(FULL_TREE.parse_args, argv)
+
+
+@pytest.mark.parametrize("path", list(cli_module.LEAVES), ids=" ".join)
+def test_leaf_help_matches_the_full_tree(path):
+    argv = [*path, "--help"]
+    got = parse_outcome(cli_module.parse_args, argv)
+    assert got == parse_outcome(FULL_TREE.parse_args, argv)
+    assert got[0] == 0 and got[1].startswith(f"usage: grasstodd {' '.join(path)} ")
