@@ -2,9 +2,14 @@
 and Pfaffian tools, in text or machine-readable JSON.
 
 Exit codes: 0 for success/affirmative verdicts, 1 for negative verdicts,
-2 for usage or validation errors. JSON output is canonical (sorted keys,
-no whitespace) so that parse + re-serialize round-trips byte-identically;
-rationals are emitted as {"num": ..., "den": ...} string pairs.
+2 for usage or validation errors, 141 when the reader of stdout has gone.
+JSON output is canonical (sorted keys, no whitespace) so that parse +
+re-serialize round-trips byte-identically; rationals are emitted as
+{"num": ..., "den": ...} string pairs.
+
+A well-formed command line is read by its leaf's direct grammar, which
+builds no argparse parser; every other line, help and errors among them,
+is read by the full argparse tree (see `parse_args`).
 """
 
 from __future__ import annotations
@@ -12,14 +17,11 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-
-# argparse's messages go through gettext, which imports locale when the
-# first parser is built; importing it here keeps that one-time cost (1-2 ms)
-# with the module imports instead of in the first command.
-import locale  # noqa: F401
+import os
 import sys
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, partial
+from types import SimpleNamespace
 
 from . import __version__
 from .bundles import chow_pipeline
@@ -433,7 +435,7 @@ def _eval_args(p) -> None:
 
 # The leaf commands, in --help order: the words that name each one, mapped to
 # its help line, the function that runs it and the function that declares its
-# arguments. The full tree and every narrowed leaf parser are built from here.
+# arguments. The full tree and every leaf's direct grammar are read from here.
 LEAVES = {
     ("roberts",): ("Roberts-ring verdict for the cone over G_d(n)", cmd_roberts, _roberts_args),
     ("table",): ("verdict grid for all shapes up to max_n", cmd_table, _table_args),
@@ -458,9 +460,8 @@ GROUPS = {
 def build_parser() -> argparse.ArgumentParser:
     """The whole command tree, every leaf of `LEAVES` under its group.
 
-    `main` parses with it only when argv names no leaf (empty argv, -h,
-    --version, an unknown command) or leaves arguments over after one; it
-    gives the same `Namespace`, help and errors as each narrowed parser.
+    `parse_args` hands it every argv that no leaf's direct grammar accepts:
+    help, --version, unknown commands and every malformed command line.
     """
     top = argparse.ArgumentParser(
         prog="grasstodd",
@@ -483,37 +484,113 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-@lru_cache(maxsize=len(LEAVES) + 1)
-def _shared_parser(path: tuple = ()) -> argparse.ArgumentParser:
-    """The full tree for (), else the parser of the leaf `path` alone, with
-    the prog and the defaults that the full tree gives that leaf, so that its
-    help, errors and Namespace match the tree's. Each parser is built on
-    first use, not at import, and reused after that; the keys are the leaves
-    and (), so the cache holds at most len(LEAVES) + 1 parsers."""
-    if not path:
-        return build_parser()
-    _, func, declare = LEAVES[path]
-    p = argparse.ArgumentParser(prog=" ".join(("grasstodd", *path)))
-    declare(p)
-    p.set_defaults(command=path[0], func=func)
-    if len(path) == 2:
-        p.set_defaults(**{GROUPS[path[0]][1]: path[1]})
-    return p
+class _LeafGrammar:
+    """The arguments of one leaf, recorded as its declaring function adds
+    them here in place of a parser, and a reader of the argv tails that are
+    well-formed for them.
+
+    A tail is well-formed when each token that starts with '-' is exactly
+    one of the leaf's option strings, each option that takes a value has one
+    after it that does not start with '-', each value converts by its
+    declared type, the positionals are all there and no more, each required
+    option and required group is present, and no option appears twice (an
+    append option may) nor two members of one group.
+    """
+
+    def __init__(self, path: tuple):
+        _, func, declare = LEAVES[path]
+        # the values the full tree gives this leaf before reading its tail
+        self.defaults = {"command": path[0], "func": func}
+        if len(path) == 2:
+            self.defaults[GROUPS[path[0]][1]] = path[1]
+        self.options = {}      # option string -> (dest, action, type or const, slot)
+        self.positionals = []  # (dest, type), in order
+        self.required = set()  # the slots that must appear
+        declare(self)
+
+    def add_argument(self, name, *, action="store", dest=None, type=str, const=None,
+                     default=None, required=False, help=None, metavar=None, slot=None):
+        """Records what `argparse.ArgumentParser.add_argument` would add, for
+        the forms the leaves use; a slot is the option string, or the group
+        that the option belongs to."""
+        if not name.startswith("-"):
+            self.positionals.append((name, type))
+            return
+        if action == "store_true":
+            action, const, default = "store_const", True, False
+        elif action not in ("store", "store_const", "append"):
+            raise ValueError(f"{name}: action {action!r} has no direct grammar")
+        dest, slot = dest or name.lstrip("-").replace("-", "_"), slot or name
+        self.defaults[dest] = default
+        self.options[name] = (dest, action, const if action == "store_const" else type, slot)
+        if required:
+            self.required.add(slot)
+
+    def add_mutually_exclusive_group(self, *, required=False):
+        slot = object()
+        if required:
+            self.required.add(slot)
+        return SimpleNamespace(add_argument=partial(self.add_argument, slot=slot))
+
+    def parse(self, tail: list):
+        """The Namespace that the full tree gives the leaf's argv for a
+        well-formed tail, or None for any other tail."""
+        values, seen, words = dict(self.defaults), set(), []
+        tokens = iter(tail)
+        for token in tokens:
+            if not token.startswith("-"):
+                words.append(token)
+                continue
+            if token not in self.options:
+                return None
+            dest, action, arg, slot = self.options[token]
+            if slot in seen and action != "append":
+                return None
+            seen.add(slot)
+            if action == "store_const":
+                values[dest] = arg
+                continue
+            word = next(tokens, "-")
+            if word.startswith("-"):
+                return None
+            try:
+                value = arg(word)
+            except (TypeError, ValueError):
+                return None
+            values[dest] = [*(values[dest] or ()), value] if action == "append" else value
+        if len(words) != len(self.positionals) or not self.required <= seen:
+            return None
+        for (dest, convert), word in zip(self.positionals, words):
+            try:
+                values[dest] = convert(word)
+            except (TypeError, ValueError):
+                return None
+        return argparse.Namespace(**values)
+
+
+@cache
+def _leaf_grammar(path: tuple) -> _LeafGrammar:
+    return _LeafGrammar(path)
+
+
+@cache
+def _full_tree() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def parse_args(argv: list) -> argparse.Namespace:
-    """argv parsed by the parser of the leaf that its first words name, or
-    by the full tree when they name none.
+    """argv read by the direct grammar of the leaf that its first words
+    name, when the rest is well-formed for that leaf, and by the full
+    argparse tree otherwise.
 
-    Arguments left over after a leaf are reported by the full tree, whose
-    usage line heads that message.
+    Both give the same Namespace for the lines the grammar accepts. All
+    other lines, with help, --version, abbreviations, '--opt=value', '--'
+    and every error among them, are argparse's alone, so their output is
+    argparse's own. The tree is built on first use, once per process.
     """
     path = tuple(argv[:2]) if argv and argv[0] in GROUPS else tuple(argv[:1])
-    if path in LEAVES:
-        args, extras = _shared_parser(path).parse_known_args(argv[len(path):])
-        if not extras:
-            return args
-    return _shared_parser().parse_args(argv)
+    args = _leaf_grammar(path).parse(argv[len(path):]) if path in LEAVES else None
+    return _full_tree().parse_args(argv) if args is None else args
 
 
 @cache
@@ -526,12 +603,22 @@ def _freeze_imports() -> None:
 
 def main(argv=None) -> int:
     _freeze_imports()
-    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args)
+        try:
+            args = parse_args(sys.argv[1:] if argv is None else list(argv))
+            return args.func(args)
+        finally:
+            # here, not at exit, so that the handler below sees a closed
+            # stdout, also after help and --version, which raise SystemExit
+            sys.stdout.flush()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout is gone (`grasstodd table 12 | head -1`): the
+        # rest goes to devnull, so that the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as for a process that SIGPIPE ended
 
 
 if __name__ == "__main__":

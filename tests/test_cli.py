@@ -1,7 +1,9 @@
 """Command-line behavior: exit codes, text output, canonical JSON."""
 
+import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -513,30 +515,51 @@ def test_first_command_freezes_the_import_time_objects():
     assert out.stdout.strip().endswith("True")
 
 
-def test_main_reuses_one_parser_without_leaking_state(capsys, monkeypatch):
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """Every ArgumentParser built during the test, which starts with no full
+    tree cached."""
+    cli_module._full_tree.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_main_reuses_one_parser_without_leaking_state(capsys, monkeypatch, parsers_built):
     # same usage-line wrapping in this process and in the fresh ones
     monkeypatch.setenv("COLUMNS", "80")
-    cli_module._shared_parser.cache_clear()
     sequence = (
         ["roberts", "2", "6", "--verdict-only"],
         ["roberts", "2", "6"],
         ["roberts", "2"],  # argparse usage error: n is missing
         ["chow", "multiply", "3", "7", "[2,1]", "[1]", "--json"],
+        ["roberts", "2", "6", "--verd"],  # an abbreviation, which only argparse reads
         ["pfaffian", "classify", "2", "6"],
     )
+    counts = []
     for argv in sequence:
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
         got = capsys.readouterr()
+        counts.append(len(parsers_built))
         fresh = subprocess.run(
             [sys.executable, "-m", "grasstodd", *argv], capture_output=True, text=True,
         )
         assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
-    # one parser per distinct leaf: roberts, chow multiply, pfaffian classify
-    info = cli_module._shared_parser.cache_info()
-    assert (info.misses, info.hits) == (3, len(sequence) - 3)
+    # well-formed lines build no parser; the first other line builds the
+    # full tree, and the second one reuses it
+    tree = counts[2]
+    assert tree > 0 and counts == [0, 0, tree, tree, tree, tree]
+    info = cli_module._full_tree.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_second_command_freezes_nothing_more():
@@ -561,18 +584,26 @@ def test_cold_command_builds_only_its_own_leaf():
             init(self, *args, **kwargs)
         argparse.ArgumentParser.__init__ = counting_init
         import grasstodd.cli as cli
-        with contextlib.redirect_stdout(io.StringIO()):
-            cli.main(["roberts", "2", "5", "--verdict-only", "--json"])
-        size = cli._shared_parser.cache_info().currsize
-        cli._shared_parser(("roberts",))  # a hit when the one cached key is this leaf
-        info = cli._shared_parser.cache_info()
-        print(len(built), size, info.misses, info.hits)
+        counts = []
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for argv in (["roberts", "2", "5", "--verdict-only", "--json"],
+                         ["roberts", "2", "5", "--verd", "--json"],
+                         ["roberts", "2", "5", "extra"]):
+                try:
+                    cli.main(argv)
+                except SystemExit:
+                    pass
+                counts.append(len(built))
+        print(*counts, cli._leaf_grammar.cache_info().currsize, cli._full_tree.cache_info().misses)
     """)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    built, size, misses, hits = map(int, out.stdout.split())
-    assert built <= 1
-    assert (size, misses, hits) == (1, 1, 1)
+    well_formed, abbreviated, extra, grammars, trees = map(int, out.stdout.split())
+    # the well-formed command builds no parser and only its own leaf's
+    # grammar; the two that argparse reads build the full tree once
+    assert well_formed == 0
+    assert 0 < abbreviated == extra
+    assert (grammars, trees) == (1, 1)
 
 
 # -- the narrowed parse against the full tree ---------------------------------
@@ -583,6 +614,7 @@ ARGV_WORD = st.sampled_from([
     "classify", "eval", "bogus", "2", "5", "13", "-1", "x", "[2,1]", "stray", "--",
     "--json", "--force", "--verd", "--todd", "--ch", "--mod-h", "--max-degree", "--degree",
     "--class", "--diagrams", "-h", "--help", "--version", "--vers", "-x",
+    "--chern", "--verdict-only", "--degree=1", "--json=1", "-5", "",
 ])
 # one argv tail that parses, per leaf, for the drawn words to break
 VALID_TAIL = {
@@ -598,17 +630,39 @@ VALID_TAIL = {
 }
 
 
+# each leaf's optional arguments, each with the value it takes, if any
+OPTIONAL = {
+    ("roberts",): (["--json"], ["--force"], ["--verdict-only"]),
+    ("table",): (["--json"], ["--force"]),
+    ("chow", "basis"): (["--json"], ["--force"], ["--diagrams"]),
+    ("chow", "pieri"): (["--json"], ["--force"], ["--diagrams"]),
+    ("chow", "multiply"): (["--json"], ["--force"], ["--diagrams"]),
+    ("chow", "reduce"): (["--json"], ["--force"], ["--class", "[1,1]:2"]),
+    ("bundle",): (["--json"], ["--force"], ["--max-degree", "2"], ["--mod-h"]),
+    ("pfaffian", "classify"): (["--json"],),
+    ("pfaffian", "eval"): (["--json"],),
+}
+
+
 def test_valid_tails_name_every_leaf():
-    assert set(VALID_TAIL) == set(cli_module.LEAVES)
+    assert set(VALID_TAIL) == set(OPTIONAL) == set(cli_module.LEAVES)
 
 
 @st.composite
 def command_lines(draw):
     head = draw(st.sampled_from([*VALID_TAIL, (), ("chow",), ("pfaffian",), ("bogus",)]))
     tail = list(VALID_TAIL.get(head, [])) if draw(st.booleans()) else []
-    for _ in range(draw(st.integers(0, 3))):
-        tail.insert(draw(st.integers(0, len(tail))), draw(ARGV_WORD))
-    return [*head, *tail]
+    # distinct whole optional arguments first, which keep a valid tail
+    # well-formed unless one lands between an option and its value
+    units = draw(st.permutations(OPTIONAL.get(head, (["--json"],))))
+    for unit in units[:draw(st.integers(0, len(units)))]:
+        i = draw(st.integers(0, len(tail)))
+        tail[i:i] = unit
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            tail.insert(draw(st.integers(0, len(tail))), draw(ARGV_WORD))
+    # other numbers, so that the well-formed lines are not soon exhausted
+    return [*head, *(str(draw(st.integers(0, 20))) if w.isdigit() else w for w in tail)]
 
 
 def parse_outcome(parse, argv):
@@ -633,3 +687,85 @@ def test_leaf_help_matches_the_full_tree(path):
     got = parse_outcome(cli_module.parse_args, argv)
     assert got == parse_outcome(FULL_TREE.parse_args, argv)
     assert got[0] == 0 and got[1].startswith(f"usage: grasstodd {' '.join(path)} ")
+
+
+def well_formed_lines(path):
+    """The leaf's valid tail with every subset of its optional arguments,
+    each in every order and interleaved with the positionals in every way.
+
+    A valid tail is its positionals, then at most one required option with
+    its value; that option moves with the optional ones.
+    """
+    tail = VALID_TAIL[path]
+    cut = next((i for i, word in enumerate(tail) if word.startswith("-")), len(tail))
+    positionals, required = tail[:cut], [tail[cut:]] if tail[cut:] else []
+    optional = OPTIONAL[path]
+    for size in range(len(optional) + 1):
+        for chosen in itertools.combinations(optional, size):
+            for units in itertools.permutations([*required, *chosen]):
+                length = len(positionals) + len(units)
+                for places in itertools.combinations(range(length), len(units)):
+                    words, rest, opts = [], iter(positionals), iter(units)
+                    for i in range(length):
+                        words.extend(next(opts) if i in places else [next(rest)])
+                    yield [*path, *words]
+
+
+def test_every_well_formed_line_parses_without_a_parser(parsers_built):
+    lines = [argv for path in VALID_TAIL for argv in well_formed_lines(path)]
+    for argv in lines:
+        got = cli_module.parse_args(argv)
+        assert parsers_built == [], argv
+        assert got == FULL_TREE.parse_args(argv), argv
+    assert any(argv.count("--class") == 2 for argv in lines)
+    assert any("--max-degree" in argv for argv in lines)
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    *(([*path, *tail], False) for path, tail in VALID_TAIL.items()),
+    (["table", "12"], True),  # a print fails, not the flush at the end
+    (["roberts", "--help"], False),
+    (["--version"], False),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else f"unbuffered={v}")
+def test_closed_stdout_exits_141_without_a_traceback(argv, unbuffered, tmp_path):
+    matrix = tmp_path / "z.txt"
+    matrix.write_text("2\n0 1\n-1 0\n")
+    argv = [str(matrix) if word == "z.txt" else word for word in argv]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)  # every write to stdout now fails with EPIPE
+    try:
+        out = subprocess.run([sys.executable, "-m", "grasstodd", *argv], stdout=write,
+                             stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (141, b""), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["roberts", "2", "5", "--verd"],             # an abbreviation
+    ["roberts", "2", "5", "--json", "--json"],   # a repeated flag
+    ["roberts", "2", "5", "-h"],
+    ["roberts", "2", "5", "--version"],
+    ["roberts", "2", "--", "5"],
+    ["roberts", "-1", "5"],                      # a token that starts with '-'
+    ["roberts", "x", "5"],                       # a failed conversion
+    ["roberts", "2"],                            # a missing positional
+    ["roberts", "2", "5", "extra"],              # an extra positional
+    ["chow", "basis", "2", "5", "--degree=1"],
+    ["chow", "basis", "2", "5"],                 # a required option missing
+    ["chow", "basis", "2", "5", "--degree", "--json"],
+    ["chow", "basis", "2", "5", "--degree", "1", "--degree", "2"],
+    ["chow", "reduce", "2", "5", "--class", "--json"],
+    ["bundle", "2", "5"],                        # the required group missing
+    ["bundle", "2", "5", "--todd", "--chern"],   # two members of the group
+    ["bundle", "2", "5", "--todd", "--max-degree"],
+    ["bundle", "2", "5", "--ch", "--max-degree", "-1"],
+    ["pfaffian", "eval", "-"],
+], ids=" ".join)
+def test_other_lines_are_left_to_argparse(argv):
+    path = tuple(argv[:2]) if argv[0] in cli_module.GROUPS else tuple(argv[:1])
+    assert cli_module._leaf_grammar(path).parse(argv[len(path):]) is None
+    assert parse_outcome(cli_module.parse_args, argv) == parse_outcome(FULL_TREE.parse_args, argv)
