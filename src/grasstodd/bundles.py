@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial
+from math import comb, factorial, gcd, lcm
 
-from .chow import ChowElement, combine, ring, scale, sigma, unit, zero
+from .chow import ChowElement, combine, ring, sigma, zero
 from .partitions import GrassmannShape
 from .series import todd_log_coeff
 
@@ -50,81 +50,152 @@ class TangentPipeline:
     """The tangent-bundle classes of one shape, one degree at a time.
 
     m! ch_m of a bundle is the m-th power sum of its Chern roots. For S* it
-    is p_m times the unit, by the Murnaghan-Nakayama step
-    (`_Ring.power_sum`); for Q it is (-1)^(m+1) p_m; the ranks d and n-d
-    sit in degree 0. m! ch_m(T) acts on a class through
-    `_Ring.tangent_power_sum`. The Todd and the Chern classes of T share
-    one recurrence over that action,
-        y_k = (1/k) sum_j w_j (j! ch_j(T)) y_(k-j),
+    is p_m, which acts on a class by the Murnaghan-Nakayama step
+    (`_Ring.power_sum`); for Q it is p_m(Q) = (-1)^(m+1) p_m; the ranks d
+    and n-d sit in degree 0. The operator T_j = j! ch_j(T) for T = S* (x) Q
+    acts on a whole class (`_tangent`), and the Todd and the Chern classes
+    of T share one recurrence over it,
+        y_k = (1/k) sum_j w_j T_j y_(k-j),
     with w_j = j a_j for td = exp(sum_j a_j j! ch_j(T)) and
     w_j = (-1)^(j-1) for the Chern classes (Newton's identities).
 
-    Each sequence maps a degree to its homogeneous class, computed on first
-    use, passed through `reduce` and kept. A degree where `vanishes(k)`
-    holds is zero in every sequence with no work, and the recurrence skips
-    the terms whose operator j! ch_j(T) lies in such a degree.
+    Every sequence is held as integer graded pieces: a {partition: int}
+    dict over one positive denominator, with gcd 1. `reduce`, when given,
+    maps a piece (terms, den) of degree >= 1 to its canonical form in the
+    same layout; without it the classes live in the Chow ring itself, where
+    every Chern piece must come out with denominator 1 (checked, raising
+    ArithmeticError otherwise). Each public sequence maps a degree to its
+    homogeneous `ChowElement`, converted once from the piece and kept. A
+    degree where `vanishes(k)` holds is zero in every sequence with no
+    work, and the recurrence skips the terms whose operator T_j lies in
+    such a degree.
     """
 
-    def __init__(self, shape: GrassmannShape, vanishes, reduce):
+    def __init__(self, shape: GrassmannShape, vanishes, reduce=None):
         self.shape = shape
-        self._ring = ring(shape)
+        self._power = ring(shape).power_sum
         self._vanishes = vanishes
         self._reduce = reduce
         self._todd_work: list = []
-        self.todd = self._graded(self._todd)
-        self.chern = self._graded(self._chern)
-        power, tangent = self._ring.power_sum, self._ring.tangent_power_sum
-        self.ch_tangent = self._graded(partial(self._ch_piece, shape.dim, 1, tangent))
-        self.ch_s_dual = self._graded(partial(self._ch_piece, shape.d, 1, power))
-        self.ch_q = self._graded(lambda m: self._ch_piece(shape.cols, (-1) ** (m + 1), power, m))
+        self._todd_piece = self._pieces(self._todd)
+        self._chern_piece = self._pieces(self._chern)
+        self.todd = self._public(self._todd_piece)
+        self.chern = self._public(self._chern_piece)
+        one = {(): 1}
+        self.ch_tangent = self._character(shape.dim, lambda m: self._tangent([(m, 1, one)]))
+        self.ch_s_dual = self._character(shape.d, lambda m: self._apply(one, m, 1, {}))
+        self.ch_q = self._character(shape.cols, lambda m: self._apply(one, m, (-1) ** (m + 1), {}))
         # ch_m(S) = (-1)^m ch_m(S*)
-        self.ch_s = self._graded(lambda m: scale((-1) ** m, self.ch_s_dual(m)))
+        self.ch_s = self._character(shape.d, lambda m: self._apply(one, m, (-1) ** m, {}))
 
-    def _graded(self, rule):
+    def _character(self, rank: int, power):
+        """The Chern character whose m! ch_m is `power(m)` for m >= 1."""
+        return self._public(self._pieces(
+            lambda m: (power(m), factorial(m)) if m else ({(): rank}, 1)))
+
+    def _pieces(self, rule):
+        """Memoized integer pieces of `rule`, reduced in degrees >= 1."""
         memo: dict = {}
 
-        def at(k: int) -> ChowElement:
+        def at(k: int) -> tuple:
             hit = memo.get(k)
             if hit is None:
-                hit = zero(self.shape) if self._vanishes(k) else rule(k)
+                if self._vanishes(k):
+                    hit = ({}, 1)
+                else:
+                    hit = rule(k)
+                    if k and self._reduce is not None:
+                        hit = self._reduce(*hit)
+                    hit = _lowest(*hit)
                 memo[k] = hit
             return hit
 
         return at
 
-    def _ch_piece(self, rank: int, sign: int, power, m: int) -> ChowElement:
-        """ch_m = sign * power((), m) / m! for m >= 1, and the rank at m = 0."""
-        if m == 0:
-            return scale(rank, unit(self.shape))
-        ch = scale(Fraction(sign, factorial(m)), ChowElement(self.shape, power((), m)))
-        return self._reduce(ch)
+    def _public(self, piece):
+        """Memoized `ChowElement`s of the integer pieces of `piece`."""
+        memo: dict = {}
 
-    def _recurrence(self, k: int, y, weight) -> ChowElement:
-        """y_k by one `combine`; w_j is tested before `vanishes(j)`, which
-        may build an echelon form."""
-        tangent = self._ring.tangent_power_sum
+        def at(k: int) -> ChowElement:
+            hit = memo.get(k)
+            if hit is None:
+                terms, den = piece(k)
+                hit = ChowElement(self.shape, {lam: Fraction(c, den) for lam, c in terms.items()})
+                memo[k] = hit
+            return hit
 
-        def terms():
-            for j in range(1, k + 1):
-                w = weight(j)
-                if w and not self._vanishes(j):
-                    for lam, c in y(k - j).terms.items():
-                        wc = w * c
-                        for mu, a in tangent(lam, j).items():
-                            yield mu, wc * a
+        return at
 
-        return self._reduce(scale(Fraction(1, k), combine(self.shape, terms())))
+    def _apply(self, terms: dict, m: int, c: int, out: dict) -> dict:
+        """out += c p_m terms, one Murnaghan-Nakayama step per term."""
+        power = self._power
+        for lam, a in terms.items():
+            ca = c * a
+            for mu, sign in power(lam, m).items():
+                out[mu] = out.get(mu, 0) + (ca if sign > 0 else -ca)
+        return out
 
-    def _todd(self, k: int) -> ChowElement:
+    def _tangent(self, parts) -> dict:
+        """sum c T_j terms over the (j, c, terms) of `parts`, j >= 1, for the
+        operator T_j = j! ch_j(T) = sum_i C(j, i) p_i(S*) p_(j-i)(Q).
+
+        The two end terms give d (-1)^(j+1) p_j and (n-d) p_j, and the MN
+        operators commute, so the middle terms i and j-i carry
+        C(j, i) p_i p_(j-i) with the signs (-1)^(j-i+1) and (-1)^(i+1).
+        For odd j these cancel in pairs and T_j = n p_j. For even j,
+            T_j = (n-2d) p_j - sum_(i=1..j-1) (-1)^i C(j, i) p_i p_(j-i),
+        where i and j-i are equal terms, so only i <= j/2 is computed. The
+        inner steps p_(j-i) of every part are merged by i first, so each
+        outer step p_i runs once on one class.
+        """
+        n, d = self.shape.n, self.shape.d
+        out: dict = {}
+        inner: dict = {}
+        for j, c, terms in parts:
+            if j & 1:
+                self._apply(terms, j, c * n, out)
+                continue
+            if n != 2 * d:
+                self._apply(terms, j, c * (n - 2 * d), out)
+            for i in range(1, j // 2 + 1):
+                w = comb(j, i) if 2 * i == j else 2 * comb(j, i)
+                self._apply(terms, j - i, c * w if i & 1 else -c * w, inner.setdefault(i, {}))
+        for i, terms in inner.items():
+            self._apply(terms, i, 1, out)
+        return out
+
+    def _recurrence(self, k: int, piece, weight) -> tuple:
+        """The unreduced integer piece y_k; w_j is tested before `vanishes(j)`,
+        which may build an echelon form.
+
+        Over M = lcm of den(w_j) D_(k-j), where D is the denominator of
+        y_(k-j), y_k = (1 / kM) sum_j num(w_j) (M / den(w_j) D_(k-j)) T_j N_(k-j)
+        with N the numerators: one integer sum, one common denominator.
+        """
+        parts = []
+        for j in range(1, k + 1):
+            w = weight(j)
+            if w and not self._vanishes(j):
+                terms, den = piece(k - j)
+                if terms:
+                    parts.append((j, w, terms, den * w.denominator))
+        m = lcm(*(scale for *_, scale in parts))
+        out = self._tangent((j, w.numerator * (m // scale), terms) for j, w, terms, scale in parts)
+        return out, k * m
+
+    def _todd(self, k: int) -> tuple:
         if k == 0:
-            return unit(self.shape)
+            return {(): 1}, 1
         self._todd_work.append(k)
-        return self._recurrence(k, self.todd, lambda j: j * todd_log_coeff(j))
+        return self._recurrence(k, self._todd_piece, _todd_weight)
 
-    def _chern(self, k: int) -> ChowElement:
+    def _chern(self, k: int) -> tuple:
         if k == 0:
-            return unit(self.shape)
-        return self._recurrence(k, self.chern, lambda j: (-1) ** (j - 1))
+            return {(): 1}, 1
+        terms, den = _lowest(*self._recurrence(k, self._chern_piece, _chern_weight))
+        if den != 1 and self._reduce is None:
+            raise ArithmeticError(f"Chern piece {k} of {self.shape} has denominator {den}")
+        return terms, den
 
     @property
     def todd_degrees(self) -> tuple:
@@ -132,10 +203,28 @@ class TangentPipeline:
         return tuple(sorted(self._todd_work))
 
 
+def _todd_weight(j: int) -> Fraction:
+    return j * todd_log_coeff(j)
+
+
+def _chern_weight(j: int) -> Fraction:
+    return Fraction((-1) ** (j - 1))
+
+
+def _lowest(terms: dict, den: int) -> tuple:
+    """The integer piece terms / den in lowest terms: zero coefficients
+    dropped, den > 0 and gcd(den, every coefficient) = 1."""
+    terms = {lam: c for lam, c in terms.items() if c}
+    g = gcd(den, *terms.values())
+    if g != 1:
+        terms = {lam: c // g for lam, c in terms.items()}
+    return terms, den // g
+
+
 @lru_cache(maxsize=None)
 def chow_pipeline(shape: GrassmannShape) -> TangentPipeline:
     """The per-shape pipeline on the Chow ring; degrees above t vanish."""
-    return TangentPipeline(shape, lambda k: k > shape.dim, lambda a: a)
+    return TangentPipeline(shape, lambda k: k > shape.dim)
 
 
 def _cap(shape: GrassmannShape, max_degree: int | None) -> int:
@@ -170,7 +259,7 @@ def ch_S_dual(shape: GrassmannShape, max_degree: int | None = None) -> BundleCla
 
 def ch_tangent(shape: GrassmannShape, max_degree: int | None = None) -> BundleClass:
     """Chern character of the tangent bundle: ch(T) = ch(S*) ch(Q), each m! ch_m(T)
-    acting on the unit through `_Ring.tangent_power_sum`."""
+    the pipeline's operator T_m applied to the unit."""
     return _character(shape, shape.dim, chow_pipeline(shape).ch_tangent, max_degree)
 
 

@@ -4,8 +4,9 @@ Classes are sparse rational linear combinations of Schubert classes, indexed
 by partitions inside the d x (n-d) box. Every product of two Schubert
 classes, Pieri's rule for a special class included, comes from one
 Littlewood-Richardson tableau count truncated to the box. Multiplication by
-a power sum of the Chern roots of S* is the Murnaghan-Nakayama rule, which
-also gives the action of every Chern character of the tangent bundle.
+a power sum of the Chern roots of S* is the Murnaghan-Nakayama rule; the
+tangent-bundle pipeline (`bundles.TangentPipeline`) builds the action of
+every Chern character of the tangent bundle from it.
 Reduction modulo the hyperplane class h = sigma_1 is exact linear algebra
 over the integers.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain
-from math import comb, gcd
+from math import gcd
 from operator import neg
 
 from .partitions import GrassmannShape, Partition, enumerate_box, fits_box, normalize_partition
@@ -161,20 +162,22 @@ def scale(q, a: ChowElement) -> ChowElement:
     return ChowElement(a.shape, {lam: q * c for lam, c in a.terms.items()})
 
 
+_NOTHING: dict = {}  # the one empty memo entry; memo values are never mutated
+
+
 class _Ring:
     """Per-shape multiplication engine with memoised integer kernels: the
-    Murnaghan-Nakayama step (`power_sum`), the tangent character built from
-    it (`tangent_power_sum`), and basis products by the Littlewood-Richardson
-    rule (`pair_product`), one memo each.
+    Murnaghan-Nakayama step (`power_sum`) and basis products by the
+    Littlewood-Richardson rule (`pair_product`), one memo each.
 
-    All caches hold integer data only; they are keyed on immutable tuples, so
-    concurrent reads are safe and racing inserts are idempotent.
+    All caches hold integer data only; they are keyed on ints and immutable
+    tuples, so concurrent reads are safe and racing inserts are idempotent.
     """
 
     def __init__(self, shape: GrassmannShape):
         self.shape = shape
-        self._power: dict = {}
-        self._tangent: dict = {}
+        self._power: dict = {}  # j -> {lam: power_sum(lam, j)}
+        self._parts: dict = {}  # one tuple per partition the MN step returns
         self._pair: dict = {}
 
     def power_sum(self, lam: Partition, j: int) -> dict:
@@ -188,11 +191,13 @@ class _Ring:
         does a result above n - 1, which is mu_1 > n - d. For j = 1 every
         sign is +1 and the result is multiplication by h = sigma_1.
         """
-        key = (lam, j)
-        hit = self._power.get(key)
+        memo = self._power.get(j)
+        if memo is None:
+            memo = self._power[j] = {}
+        hit = memo.get(lam)
         if hit is not None:
             return hit
-        d = self.shape.d
+        d, parts = self.shape.d, self._parts
         beta = [p + d - 1 - r for r, p in enumerate(lam + (0,) * (d - len(lam)))]
         hit = {}
         for i, b in enumerate(beta):
@@ -203,34 +208,9 @@ class _Ring:
                     k -= 1
                 new = beta[:k] + [moved] + beta[k:i] + beta[i + 1:]
                 mu = tuple(v + r + 1 - d for r, v in enumerate(new) if v + r + 1 - d)
-                hit[mu] = -1 if (i - k) & 1 else 1
-        self._power[key] = hit
-        return hit
-
-    def tangent_power_sum(self, lam: Partition, m: int) -> dict:
-        """Integer coefficients of [lam] * m! ch_m(T) for T = S* (x) Q.
-
-        m! ch_m(T) = sum_i C(m, i) p_i(S*) p_(m-i)(Q), with p_i(S*) = p_i,
-        p_j(Q) = (-1)^(j+1) p_j for j >= 1, and p_0 the rank: d for S*,
-        n - d for Q.
-        """
-        key = (lam, m)
-        hit = self._tangent.get(key)
-        if hit is not None:
-            return hit
-        d, cols = self.shape.d, self.shape.cols
-
-        def terms():
-            for i in range(m + 1):
-                j = m - i
-                c = comb(m, i) * (-1) ** (j + 1) if j else cols
-                for nu, a in self.power_sum(lam, j).items() if j else ((lam, 1),):
-                    for mu, b in self.power_sum(nu, i).items() if i else ((nu, d),):
-                        yield mu, c * a * b
-
-        hit = combine(self.shape, terms()).terms
-        self._tangent[key] = hit
-        return hit
+                hit[parts.setdefault(mu, mu)] = -1 if (i - k) & 1 else 1
+        memo[lam] = hit or _NOTHING
+        return memo[lam]
 
     def pair_product(self, lam: Partition, mu: Partition) -> dict:
         """Integer coefficients of the basis product [lam] * [mu]."""

@@ -457,13 +457,25 @@ GROUPS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed write of help or --version
+    to stdout raises, as argparse would drop it: with PYTHONUNBUFFERED set,
+    a closed stdout then still exits 141 (see `main`)."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The whole command tree, every leaf of `LEAVES` under its group.
 
     `parse_args` hands it every argv that no leaf's direct grammar accepts:
     help, --version, unknown commands and every malformed command line.
     """
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="grasstodd",
         description="Exact Schubert calculus and Roberts-ring verdicts for Grassmannian cones.",
     )

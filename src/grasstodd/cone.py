@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 
 from .bundles import TangentPipeline
 from .chow import ChowElement, build_h_matrices, reduce_mod_h
@@ -66,11 +67,14 @@ class TauStream(TangentPipeline):
 
     def __init__(self, shape: GrassmannShape):
         self.hmats = hmats = build_h_matrices(shape)
-        super().__init__(
-            shape,
-            lambda k: hmats.quotient_dim(k) == 0,
-            lambda a: reduce_mod_h(a, hmats)[0],
-        )
+        super().__init__(shape, lambda k: hmats.quotient_dim(k) == 0, self._mod_h)
+
+    def _mod_h(self, terms: dict, den: int) -> tuple:
+        """The integer piece terms / den reduced mod h; its integer
+        numerators go through `reduce_mod_h` as they are."""
+        rep = reduce_mod_h(ChowElement(self.shape, terms), self.hmats)[0].terms
+        m = lcm(*(c.denominator for c in rep.values()))
+        return {lam: c.numerator * (m // c.denominator) for lam, c in rep.items()}, den * m
 
     def record(self, j: int) -> TauRecord:
         rep = self.todd(j)

@@ -22,6 +22,8 @@ from grasstodd import (
     chern_Q,
     chern_tangent,
     conjugate,
+    enumerate_box,
+    from_terms,
     multiply,
     scale,
     schubert,
@@ -236,22 +238,57 @@ def test_every_cap_matches_textbook_oracle_in_both_fill_orders():
 def test_warm_repeat_does_no_arithmetic(monkeypatch):
     calls = []
 
-    def spy(owner, name):
+    def spy(owner, name, seen=lambda *args: True):
         fn = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or fn(*args))
 
-    spy(chow_module._Ring, "power_sum")
-    spy(chow_module._Ring, "tangent_power_sum")
-    spy(bundles_module, "scale")
+        def wrapped(*args):
+            if seen(*args):
+                calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    # the MN kernel past j = 1 (j = 1 is h), the recurrence, and the one
+    # integer normalization every piece passes through
+    spy(chow_module._Ring, "power_sum", lambda ring, lam, j: j > 1)
+    spy(bundles_module.TangentPipeline, "_recurrence")
+    spy(bundles_module, "_lowest")
     s = GrassmannShape(3, 6)
     chow_pipeline.cache_clear()  # the next pipeline binds the spied kernels
     queries = [(fn, cap) for cap in (3, None, 1)
                for fn in (todd_tangent, chern_tangent, ch_tangent, ch_Q, ch_S, ch_S_dual)]
     first = [fn(s, cap) for fn, cap in queries]
-    assert {"power_sum", "tangent_power_sum", "scale"} <= set(calls)
+    assert {"power_sum", "_recurrence", "_lowest"} <= set(calls)
     calls.clear()
     assert [fn(s, cap) for fn, cap in queries] == first
     assert calls == []
+    chow_pipeline.cache_clear()
+
+
+def test_tangent_operator_is_the_product_with_the_tangent_character():
+    # T_j = j! ch_j(T) applied to every basis class of every shape with
+    # n <= 8, against the textbook product; odd j checks T_j = n p_j, even j
+    # the paired cross terms
+    for s in (GrassmannShape(d, n) for n in range(2, 9) for d in range(1, n)):
+        pipe = chow_pipeline(s)
+        ch_t = eager_tangent_classes(s)["ch_tangent"]
+        basis = [lam for w in range(s.dim + 1) for lam in enumerate_box(s, w)]
+        for j in range(1, s.dim + 1):
+            x_j = scale(factorial(j), ch_t[j])
+            for lam in basis:
+                got = from_terms(s, pipe._tangent([(j, 1, {lam: 1})]))
+                assert got == multiply(x_j, schubert(s, lam)), (s, lam, j)
+
+
+def test_fractional_chern_piece_raises(monkeypatch):
+    # Chern classes are integral: a piece left with a denominator is an error
+    weight = bundles_module._chern_weight
+    monkeypatch.setattr(bundles_module, "_chern_weight",
+                        lambda j: Fraction(1, 3) if j == 2 else weight(j))
+    s = GrassmannShape(2, 4)
+    chow_pipeline.cache_clear()
+    with pytest.raises(ArithmeticError, match="denominator"):
+        chern_tangent(s)
     chow_pipeline.cache_clear()
 
 

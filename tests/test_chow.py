@@ -12,7 +12,6 @@ import contextlib
 import io
 import re
 from fractions import Fraction
-from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -44,7 +43,6 @@ from grasstodd.cli import print_class, ser_class
 from oracles import (
     distinct_points,
     eager_h_echelons,
-    eager_tangent_classes,
     eager_tau,
     giambelli_expand,
     giambelli_pieri_product,
@@ -534,16 +532,3 @@ def test_h_columns_are_power_sum_one():
         for w in range(s.dim):
             for lam in enumerate_box(s, w):
                 assert r.power_sum(lam, 1) == r.pair_product(lam, (1,))
-
-
-def test_tangent_power_sum_is_the_product_with_the_tangent_character():
-    for s in SMALL_SHAPES:
-        r = ring(s)
-        ch_t = eager_tangent_classes(s)["ch_tangent"]
-        basis = [lam for w in range(s.dim + 1) for lam in enumerate_box(s, w)]
-        for m in range(s.dim + 1):
-            x_m = scale(factorial(m), ch_t[m])
-            for lam in basis:
-                got = from_terms(s, r.tangent_power_sum(lam, m))
-                assert got == multiply(schubert(s, lam), x_m), (s, lam, m)
-

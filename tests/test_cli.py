@@ -726,6 +726,8 @@ def test_every_well_formed_line_parses_without_a_parser(parsers_built):
     (["table", "12"], True),  # a print fails, not the flush at the end
     (["roberts", "--help"], False),
     (["--version"], False),
+    (["roberts", "--help"], True),  # argparse's own write would drop the error
+    (["--version"], True),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else f"unbuffered={v}")
 def test_closed_stdout_exits_141_without_a_traceback(argv, unbuffered, tmp_path):
     matrix = tmp_path / "z.txt"
