@@ -40,7 +40,6 @@ from .cone import (
     TauRecord,
     TauStream,
     cone_chow_dims,
-    gorenstein_parity_check,
     roberts_verdict,
     tau_components,
     verdict_table,
@@ -98,7 +97,6 @@ __all__ = [
     "enumerate_box",
     "fits_box",
     "from_terms",
-    "gorenstein_parity_check",
     "lr_coefficient",
     "multiply",
     "normalize_partition",

@@ -6,9 +6,9 @@ Todd class of the tangent bundle — everything as exact Schubert-basis classes.
 
 `TangentPipeline` builds these classes one degree at a time from the
 power-sum action of the Chern characters. `chow_pipeline(shape)` is its
-per-shape instance on the Chow ring, and every constructor here reads a
-prefix of its degrees; `cone.TauStream` is the instance whose classes are
-reduced modulo h.
+instance on the Chow ring, kept on the shape's engine (`chow.Engine`), and
+every constructor here reads a prefix of its degrees; `cone.TauStream` is
+the instance whose classes are reduced modulo h, kept on the same engine.
 
 Chern classes and characters are `BundleClass`es. All constructors but
 `chern_Q` take `max_degree`, the top degree to compute: None or a value
@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, partial
 from math import comb, factorial, gcd, lcm
 
-from .chow import ChowElement, combine, ring, sigma, zero
+from .chow import ChowElement, combine, engine, sigma, zero
 from .partitions import GrassmannShape
 from .series import todd_log_coeff
 
@@ -61,19 +61,19 @@ class TangentPipeline:
 
     Every sequence is held as integer graded pieces: a {partition: int}
     dict over one positive denominator, with gcd 1. `reduce`, when given,
-    maps a piece (terms, den) of degree >= 1 to its canonical form in the
-    same layout; without it the classes live in the Chow ring itself, where
-    every Chern piece must come out with denominator 1 (checked, raising
-    ArithmeticError otherwise). Each public sequence maps a degree to its
-    homogeneous `ChowElement`, converted once from the piece and kept. A
-    degree where `vanishes(k)` holds is zero in every sequence with no
-    work, and the recurrence skips the terms whose operator T_j lies in
-    such a degree.
+    maps a degree k >= 1 and a piece (terms, den) of that degree to its
+    canonical form in the same layout; without it the classes live in the
+    Chow ring itself, where every Chern piece must come out with
+    denominator 1 (checked, raising ArithmeticError otherwise). Each
+    public sequence maps a degree to its homogeneous `ChowElement`,
+    converted once from the piece and kept. A degree where `vanishes(k)`
+    holds is zero in every sequence with no work, and the recurrence skips
+    the terms whose operator T_j lies in such a degree.
     """
 
     def __init__(self, shape: GrassmannShape, vanishes, reduce=None):
         self.shape = shape
-        self._power = ring(shape).power_sum
+        self._power = engine(shape).power_sum
         self._vanishes = vanishes
         self._reduce = reduce
         self._todd_work: list = []
@@ -105,7 +105,7 @@ class TangentPipeline:
                 else:
                     hit = rule(k)
                     if k and self._reduce is not None:
-                        hit = self._reduce(*hit)
+                        hit = self._reduce(k, *hit)
                     hit = _lowest(*hit)
                 memo[k] = hit
             return hit
@@ -203,6 +203,7 @@ class TangentPipeline:
         return tuple(sorted(self._todd_work))
 
 
+@cache  # computed once per j, not once per step (k, j) of the recurrence
 def _todd_weight(j: int) -> Fraction:
     return j * todd_log_coeff(j)
 
@@ -221,10 +222,10 @@ def _lowest(terms: dict, den: int) -> tuple:
     return terms, den // g
 
 
-@lru_cache(maxsize=None)
 def chow_pipeline(shape: GrassmannShape) -> TangentPipeline:
-    """The per-shape pipeline on the Chow ring; degrees above t vanish."""
-    return TangentPipeline(shape, lambda k: k > shape.dim)
+    """The shape's pipeline on the Chow ring, kept on its engine; degrees
+    above t vanish."""
+    return engine(shape).kept("chow pipeline", lambda: TangentPipeline(shape, lambda k: k > shape.dim))
 
 
 def _cap(shape: GrassmannShape, max_degree: int | None) -> int:

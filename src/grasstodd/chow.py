@@ -9,13 +9,18 @@ tangent-bundle pipeline (`bundles.TangentPipeline`) builds the action of
 every Chern character of the tangent bundle from it.
 Reduction modulo the hyperplane class h = sigma_1 is exact linear algebra
 over the integers.
+
+Everything kept for a shape lives on its `Engine`: graded bases, kernel
+memos, h-echelons, and the objects that higher layers keep there (the
+tangent pipelines, the tau stream, rendered command-line rows). Engines are
+served by one registry, `ENGINES`, which holds at most a fixed number of
+shapes and drops them all on `ENGINES.clear()`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, chain
 from math import gcd
 from operator import neg
@@ -165,20 +170,44 @@ def scale(q, a: ChowElement) -> ChowElement:
 _NOTHING: dict = {}  # the one empty memo entry; memo values are never mutated
 
 
-class _Ring:
-    """Per-shape multiplication engine with memoised integer kernels: the
-    Murnaghan-Nakayama step (`power_sum`) and basis products by the
-    Littlewood-Richardson rule (`pair_product`), one memo each.
+class Engine:
+    """Everything kept for one shape, built on first use and dropped together.
 
-    All caches hold integer data only; they are keyed on ints and immutable
-    tuples, so concurrent reads are safe and racing inserts are idempotent.
+    It holds the graded bases (`basis`), the memoised integer kernels: the
+    Murnaghan-Nakayama step (`power_sum`) and basis products by the
+    Littlewood-Richardson rule (`pair_product`), the multiplication-by-h
+    data (`hmats`), and the per-shape objects of the higher layers, each
+    built once under its key (`kept`): the tangent pipelines and the
+    rendered rows of the command line. Engines are served by the bounded
+    registry `ENGINES`.
+
+    Memo values are never mutated once stored; a kept pipeline only adds
+    degrees to its own memos.
     """
 
     def __init__(self, shape: GrassmannShape):
         self.shape = shape
+        self._bases: dict = {}
         self._power: dict = {}  # j -> {lam: power_sum(lam, j)}
         self._parts: dict = {}  # one tuple per partition the MN step returns
         self._pair: dict = {}
+        self._kept: dict = {}
+        self.hmats = HMatrixSet(self)
+
+    def basis(self, degree: int) -> tuple:
+        """`enumerate_box` of the shape at `degree`, enumerated once."""
+        hit = self._bases.get(degree)
+        if hit is None:
+            hit = self._bases[degree] = enumerate_box(self.shape, degree)
+        return hit
+
+    def kept(self, key, build):
+        """The object that `build()` makes for this shape under `key`, built
+        on the first call and returned by every later one."""
+        hit = self._kept.get(key)
+        if hit is None:
+            hit = self._kept[key] = build()
+        return hit
 
     def power_sum(self, lam: Partition, j: int) -> dict:
         """Signed box partitions of [lam] * p_j for j >= 1, by the
@@ -186,10 +215,12 @@ class _Ring:
 
         [lam] is the Schur polynomial s_lam in the d Chern roots of S*, and
         p_j = j! ch_j(S*) their power sum. On the beta-numbers
-        lam_i + d - i, adding j to one of them gives mu with sign (-1) to
-        the number of beta-numbers jumped; a collision gives nothing, and so
-        does a result above n - 1, which is mu_1 > n - d. For j = 1 every
-        sign is +1 and the result is multiplication by h = sigma_1.
+        lam_i + d - i, adding j to the one of row i gives mu with sign (-1)
+        to the number of beta-numbers jumped; a collision gives nothing, and
+        so does mu_1 > n - d. When the moved one lands at row k <= i, mu is
+        lam with row k = lam_i + j - (i - k), rows k+1..i = lam_(r-1) + 1
+        and every other row kept. For j = 1 every sign is +1 and the result
+        is multiplication by h = sigma_1.
         """
         memo = self._power.get(j)
         if memo is None:
@@ -197,18 +228,22 @@ class _Ring:
         hit = memo.get(lam)
         if hit is not None:
             return hit
-        d, parts = self.shape.d, self._parts
-        beta = [p + d - 1 - r for r, p in enumerate(lam + (0,) * (d - len(lam)))]
+        d, cols, parts = self.shape.d, self.shape.cols, self._parts
+        pad = lam + (0,) * (d - len(lam))
+        # lam_r - r, the beta-numbers less d - 1: strictly decreasing
+        beta = [p - r for r, p in enumerate(pad)]
         hit = {}
-        for i, b in enumerate(beta):
-            moved = b + j
-            if moved < self.shape.n and moved not in beta:
-                k = i  # moved lands at k, jumping the i - k beta-numbers before i
-                while k and beta[k - 1] < moved:
-                    k -= 1
-                new = beta[:k] + [moved] + beta[k:i] + beta[i + 1:]
-                mu = tuple(v + r + 1 - d for r, v in enumerate(new) if v + r + 1 - d)
-                hit[parts.setdefault(mu, mu)] = -1 if (i - k) & 1 else 1
+        for i in range(d):
+            moved = beta[i] + j
+            if moved > cols:
+                continue
+            k = i  # moved lands at row k, jumping the i - k beta-numbers before i
+            while k and beta[k - 1] < moved:
+                k -= 1
+            if k and beta[k - 1] == moved:
+                continue
+            mu = pad[:k] + (moved + k,) + tuple([p + 1 for p in pad[k:i]]) + lam[i + 1:]
+            hit[parts.setdefault(mu, mu)] = -1 if (i - k) & 1 else 1
         memo[lam] = hit or _NOTHING
         return memo[lam]
 
@@ -269,9 +304,45 @@ def _lr_terms(lam: Partition, mu: Partition, rows: int, cols: int) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def ring(shape: GrassmannShape) -> _Ring:
-    return _Ring(shape)
+class EngineRegistry:
+    """The per-shape engines of one process, at most `bound` shapes: when a
+    new shape would pass the bound, the least recently used engine is
+    dropped. `clear()` drops them all."""
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self._engines: dict = {}  # in order of use, the most recent last
+
+    def __len__(self) -> int:
+        return len(self._engines)
+
+    def get(self, shape: GrassmannShape) -> Engine:
+        engines = self._engines
+        hit = engines.pop(shape, None)
+        if hit is None:
+            if len(engines) >= self.bound:
+                del engines[next(iter(engines))]
+            hit = Engine(shape)
+        engines[shape] = hit
+        return hit
+
+    def clear(self) -> None:
+        """Drops every engine. Their pipelines hold reference cycles, so
+        the memory comes back at the next garbage collection."""
+        self._engines.clear()
+
+
+# Eight shapes: a session over a handful of shapes keeps all of them, and a
+# scan over many shapes (`verdict_table`) holds at most eight at a time.
+ENGINES = EngineRegistry(8)
+
+
+def engine(shape: GrassmannShape) -> Engine:
+    """The shape's engine from `ENGINES`."""
+    return ENGINES.get(shape)
+
+
+ring = engine  # the same lookup, under the name the tests and benchmarks/child.py read
 
 
 def pieri(a: ChowElement, m: int) -> ChowElement:
@@ -285,7 +356,7 @@ def multiply(a: ChowElement, b: ChowElement) -> ChowElement:
     """Product of two classes; pairs of terms above the top degree are skipped."""
     _check_shapes(a, b)
     shape = a.shape
-    product = ring(shape).pair_product
+    product = engine(shape).pair_product
     by_weight: dict = {}
     for mu, cb in b.terms.items():
         by_weight.setdefault(sum(mu), []).append((mu, cb))
@@ -314,23 +385,25 @@ def _inside(lam: Partition, nu: Partition) -> bool:
     return len(lam) <= len(nu) and all(p <= q for p, q in zip(lam, nu))
 
 
-@dataclass(frozen=True)
 class HMatrixSet:
-    """Multiplication by h = sigma_1 on the graded pieces, with echelon data
-    built one degree at a time on first use.
+    """Multiplication by h = sigma_1 on the graded pieces of one engine's
+    shape, with echelon data built one degree at a time on first use.
 
     For degree i in 1..dim, the map sends the degree-(i-1) basis into the
     degree-i one; each source partition gives a 0/1 column. `echelon(i)` is
     a reduced integer row basis of the column space, stored as (pivot
-    position, vector) pairs, and `rank(i)` is its length. A degree's echelon
-    form is computed when first asked for and kept; `built` lists the
-    degrees computed so far. `quotient_dim(i)` and `normal_forms(i)` give
-    the degree-i piece of the quotient A/(h), read off the same echelons.
+    position, vector) pairs with a positive pivot entry, and `rank(i)` is
+    its length. A degree's echelon form is computed when first asked for
+    and kept; `built` lists the degrees computed so far. `quotient_dim(i)`
+    and `normal_forms(i)` give the degree-i piece of the quotient A/(h),
+    read off the same echelons.
     """
 
-    shape: GrassmannShape
-    _echelons: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, engine: Engine):
+        self.shape = engine.shape
+        self._engine = engine
+        self._echelons: dict = {}
+        self._forms: dict = {}
 
     @property
     def built(self) -> tuple[int, ...]:
@@ -341,7 +414,7 @@ class HMatrixSet:
         if hit is None:
             if not 1 <= degree <= self.shape.dim:
                 raise ValueError(f"degree must lie in [1, {self.shape.dim}]")
-            hit = _h_echelon(self.shape, degree)
+            hit = _h_echelon(self._engine, degree)
             self._echelons[degree] = hit
         return hit
 
@@ -356,34 +429,35 @@ class HMatrixSet:
         """
         if degree == 0:
             return 1
-        basis = enumerate_box(self.shape, degree)
+        basis = self._engine.basis(degree)
         if not basis or (degree == 1 and basis == ((1,),)):
             return 0
         return len(basis) - self.rank(degree)
 
     def normal_forms(self, degree: int) -> dict:
-        """Canonical representative mod h of every degree basis partition.
+        """Canonical representative mod h of every degree basis partition,
+        as an integer row over one positive denominator.
 
-        Maps each partition to a {partition: coefficient} dict on the
-        non-pivot partitions: a non-pivot one maps to itself, the pivot of an
-        echelon row to minus the rest of that row over its pivot entry. A
-        degree with zero quotient maps everything to {}.
+        Maps each partition to a ({partition: int}, den) pair on the
+        non-pivot partitions: a non-pivot one maps to ({itself: 1}, 1), the
+        pivot of an echelon row to minus the rest of that row over its
+        pivot entry. The row is primitive, so that pair is in lowest terms.
+        A degree with zero quotient maps everything to ({}, 1).
         """
         hit = self._forms.get(degree)
         if hit is None:
-            basis = enumerate_box(self.shape, degree)
+            basis = self._engine.basis(degree)
             if self.quotient_dim(degree) == 0:
-                hit = {lam: {} for lam in basis}
+                hit = {lam: ({}, 1) for lam in basis}
             else:
                 rows = self.echelon(degree) if degree else ()
                 pivots = {piv for piv, _ in rows}
-                hit = {lam: {lam: Fraction(1)}
-                       for k, lam in enumerate(basis) if k not in pivots}
+                hit = {lam: ({lam: 1}, 1) for k, lam in enumerate(basis) if k not in pivots}
                 for piv, row in rows:
-                    hit[basis[piv]] = {
-                        basis[k]: Fraction(-a, row[piv])
-                        for k, a in enumerate(row) if a and k not in pivots
-                    }
+                    hit[basis[piv]] = (
+                        {basis[k]: -a for k, a in enumerate(row) if a and k not in pivots},
+                        row[piv],
+                    )
             self._forms[degree] = hit
         return hit
 
@@ -421,24 +495,23 @@ def _integer_rref(vectors: list) -> list:
     return echelon
 
 
-def _h_echelon(shape: GrassmannShape, degree: int) -> tuple:
+def _h_echelon(engine: Engine, degree: int) -> tuple:
     """Echelon form of the image of h from degree - 1 into degree."""
-    r = ring(shape)
-    target = enumerate_box(shape, degree)
+    target = engine.basis(degree)
     index = {lam: k for k, lam in enumerate(target)}
     columns = []
-    for lam in enumerate_box(shape, degree - 1):
+    for lam in engine.basis(degree - 1):
         col = [0] * len(target)
-        for mu, c in r.power_sum(lam, 1).items():
+        for mu, c in engine.power_sum(lam, 1).items():
             col[index[mu]] = c
         columns.append(col)
     return tuple((piv, tuple(row)) for piv, row in _integer_rref(columns))
 
 
-@lru_cache(maxsize=None)
 def build_h_matrices(shape: GrassmannShape) -> HMatrixSet:
-    """The per-shape multiplication-by-h data; echelon forms come lazily."""
-    return HMatrixSet(shape)
+    """The shape's multiplication-by-h data, kept on its engine; echelon
+    forms come lazily."""
+    return engine(shape).hmats
 
 
 def reduce_mod_h(a: ChowElement, hmats: HMatrixSet) -> tuple[ChowElement, bool]:
@@ -447,7 +520,8 @@ def reduce_mod_h(a: ChowElement, hmats: HMatrixSet) -> tuple[ChowElement, bool]:
 
     The representative is the unique element of the class with no pivot
     partition of the echelon basis in its support (`normal_forms`); the
-    flag is True exactly when it vanishes.
+    flag is True exactly when it vanishes. Each term is reduced against
+    its integer row on its own, c / den times the row's integers.
     """
     _check_shapes(a, hmats)
     if a.is_zero():
@@ -457,6 +531,10 @@ def reduce_mod_h(a: ChowElement, hmats: HMatrixSet) -> tuple[ChowElement, bool]:
         raise NonHomogeneousError("reduction needs degree at least 1")
     forms = hmats.normal_forms(degree)
     rep = combine(a.shape, (
-        (mu, c * f) for lam, c in a.terms.items() for mu, f in forms[lam].items()
+        (mu, q * f)
+        for lam, c in a.terms.items()
+        for row, den in (forms[lam],)
+        for q in (c if den == 1 else c / den,)
+        for mu, f in row.items()
     ))
     return rep, rep.is_zero()

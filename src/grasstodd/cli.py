@@ -30,12 +30,13 @@ from .chow import (
     NonHomogeneousError,
     build_h_matrices,
     combine,
+    engine,
     multiply,
     pieri,
     reduce_mod_h,
     schubert,
 )
-from .cone import roberts_verdict, verdict_table
+from .cone import roberts_verdict, tau_stream, verdict_table
 from .partitions import GrassmannShape, enumerate_box, fits_box, normalize_partition
 from .pfaffian import AntisymmetricMatrix, classify_B, determinant, pfaffian
 
@@ -270,27 +271,37 @@ def cmd_chow(args) -> int:
     return 0
 
 
+# Each `bundle` class: the name of its sequence on a pipeline, and its label.
+BUNDLE_CLASSES = {"todd": ("todd", "td"), "ch": ("ch_tangent", "ch"), "chern": ("chern", "c")}
+
+
+def _bundle_row(eng, which: str, k: int, mod_h: bool, render):
+    """`render` (`ser_class` or `str`) of the degree-k piece of a `bundle`
+    class on the engine's shape, or with `mod_h` of its reduction, read
+    from the shape's tau stream. The result is kept on the engine and never
+    mutated, so a repeated query renders nothing again."""
+
+    def build():
+        pipe = tau_stream(eng.shape) if mod_h else chow_pipeline(eng.shape)
+        return render(getattr(pipe, BUNDLE_CLASSES[which][0])(k))
+
+    return eng.kept((which, k, mod_h, render), build)
+
+
 def cmd_bundle(args) -> int:
     shape = _shape(args)
     cap = shape.dim if args.max_degree is None else args.max_degree
     if not 0 <= cap <= shape.dim:
         raise UsageError(f"--max-degree must lie in [0, {shape.dim}]")
-    hm = build_h_matrices(shape) if args.mod_h else None
-
-    # the pipeline's graded pieces, read one degree at a time, and their reductions
-    pipe = chow_pipeline(shape)
-    piece = {"todd": pipe.todd, "ch": pipe.ch_tangent, "chern": pipe.chern}[args.which]
-    rows = []
-    for k in range(1 if args.which == "chern" else 0, cap + 1):
-        cls = piece(k)
-        rows.append((k, cls, reduce_mod_h(cls, hm) if hm is not None and k >= 1 else None))
-
+    degrees = range(1 if args.which == "chern" else 0, cap + 1)
+    row = partial(_bundle_row, engine(shape), args.which)
     if args.json:
         entries = []
-        for k, cls, reduced in rows:
-            entry = {"degree": k, "class": ser_class(cls)}
-            if reduced:
-                entry.update(is_zero=reduced[1], reduced=ser_class(reduced[0]))
+        for k in degrees:
+            entry = {"degree": k, "class": row(k, False, ser_class)}
+            if args.mod_h and k:
+                reduced = row(k, True, ser_class)
+                entry.update(is_zero=not reduced, reduced=reduced)
             entries.append(entry)
         emit_json(
             f"bundle.{args.which}",
@@ -298,11 +309,10 @@ def cmd_bundle(args) -> int:
             {"components": entries},
         )
     else:
-        label = {"todd": "td", "ch": "ch", "chern": "c"}[args.which]
         suffix = " (reduced mod h)" if args.mod_h else ""
-        print(f"{label} of the tangent bundle on G_{shape.d}({shape.n}){suffix}")
-        for k, cls, reduced in rows:
-            print(f"deg {k}: {reduced[0] if reduced else cls}")
+        print(f"{BUNDLE_CLASSES[args.which][1]} of the tangent bundle on G_{shape.d}({shape.n}){suffix}")
+        for k in degrees:
+            print(f"deg {k}: {row(k, bool(args.mod_h and k), str)}")
     return 0
 
 

@@ -10,16 +10,18 @@ the cone is a Roberts ring exactly when every Todd component of degree
 Reduction mod h is a ring homomorphism, so the reduced components are
 computed in the quotient A/(h) itself, one degree at a time, by the same
 tangent-bundle pipeline that builds the Chow-ring classes (`TauStream`).
+Each shape has one stream, kept on its engine (`tau_stream`): report mode,
+verdict mode, `cone_chow_dims` and `bundle --mod-h` all read it, so a
+degree reduced for one of them is reduced for all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import lcm
 
 from .bundles import TangentPipeline
-from .chow import ChowElement, build_h_matrices, reduce_mod_h
+from .chow import build_h_matrices, engine
 from .partitions import GrassmannShape
 
 
@@ -69,12 +71,18 @@ class TauStream(TangentPipeline):
         self.hmats = hmats = build_h_matrices(shape)
         super().__init__(shape, lambda k: hmats.quotient_dim(k) == 0, self._mod_h)
 
-    def _mod_h(self, terms: dict, den: int) -> tuple:
-        """The integer piece terms / den reduced mod h; its integer
-        numerators go through `reduce_mod_h` as they are."""
-        rep = reduce_mod_h(ChowElement(self.shape, terms), self.hmats)[0].terms
-        m = lcm(*(c.denominator for c in rep.values()))
-        return {lam: c.numerator * (m // c.denominator) for lam, c in rep.items()}, den * m
+    def _mod_h(self, degree: int, terms: dict, den: int) -> tuple:
+        """The integer piece terms / den of `degree` reduced mod h, against
+        the integer rows of `normal_forms` over their common denominator."""
+        forms = self.hmats.normal_forms(degree)
+        m = lcm(*(forms[lam][1] for lam in terms))
+        out: dict = {}
+        for lam, c in terms.items():
+            row, row_den = forms[lam]
+            c *= m // row_den
+            for mu, f in row.items():
+                out[mu] = out.get(mu, 0) + c * f
+        return out, den * m
 
     def record(self, j: int) -> TauRecord:
         rep = self.todd(j)
@@ -89,14 +97,21 @@ class ConeChowDims:
     dims: tuple
 
 
+def tau_stream(shape: GrassmannShape) -> TauStream:
+    """The shape's one tau stream, kept on its engine: report mode, verdict
+    mode and `bundle --mod-h` all read it."""
+    return engine(shape).kept("tau stream", lambda: TauStream(shape))
+
+
 def cone_chow_dims(shape: GrassmannShape) -> ConeChowDims:
     """Chow-group dimensions of the cone: cokernels of multiplication by h.
 
     A_i is the degree-(t+1-i) piece of A/(h) for 1 <= i <= t; A_0 = 0 and
-    A_{t+1} is one-dimensional.
+    A_{t+1} is one-dimensional. They are the quotient dimensions of the
+    shape's tau stream.
     """
     t = shape.dim
-    hm = build_h_matrices(shape)
+    hm = tau_stream(shape).hmats
     dims = [0] * (t + 2)
     dims[t + 1] = 1
     for i in range(1, t + 1):
@@ -111,10 +126,9 @@ def _full_report(stream: TauStream) -> RobertsReport:
     return RobertsReport(stream.shape, t + 1, records, witness is None, witness)
 
 
-@lru_cache(maxsize=None)
 def tau_components(shape: GrassmannShape) -> RobertsReport:
     """Every reduced Todd component of degree 1..t, no short-circuits."""
-    return _full_report(TauStream(shape))
+    return _full_report(tau_stream(shape))
 
 
 def roberts_verdict(shape: GrassmannShape, mode: str = "report") -> RobertsReport:
@@ -123,14 +137,15 @@ def roberts_verdict(shape: GrassmannShape, mode: str = "report") -> RobertsRepor
     In "report" mode every degree is computed. In "verdict" mode even
     degrees are scanned first in increasing order, stopping at the first
     nonzero component; odd degrees only need checking when all even ones
-    vanish. Both read one `TauStream`, which builds each degree once.
+    vanish. Both read the shape's one `TauStream` (`tau_stream`), which
+    builds each degree once.
     """
     if mode not in ("report", "verdict"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "report":
         return tau_components(shape)
     t = shape.dim
-    stream = TauStream(shape)
+    stream = tau_stream(shape)
     records = []
     for j in range(2, t + 1, 2):
         rec = stream.record(j)
@@ -138,12 +153,6 @@ def roberts_verdict(shape: GrassmannShape, mode: str = "report") -> RobertsRepor
         if not rec.is_zero:
             return RobertsReport(shape, t + 1, tuple(records), False, j)
     return _full_report(stream)
-
-
-def gorenstein_parity_check(shape: GrassmannShape) -> bool:
-    """True iff every odd-degree Todd component reduces to zero mod h."""
-    report = tau_components(shape)
-    return all(r.is_zero for r in report.records if r.degree % 2 == 1)
 
 
 @dataclass(frozen=True)

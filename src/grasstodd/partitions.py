@@ -7,7 +7,6 @@ trailing zeros; the empty tuple is the zero-weight partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 Partition = tuple[int, ...]
@@ -56,12 +55,12 @@ def fits_box(lam: Partition, shape: GrassmannShape) -> bool:
     return len(lam) <= shape.d and (not lam or lam[0] <= shape.cols)
 
 
-@lru_cache(maxsize=None)
 def enumerate_box(shape: GrassmannShape, degree: int) -> tuple[Partition, ...]:
     """All partitions of the given weight inside the shape's box.
 
     Ordered graded-lexicographically, largest first part first. Degrees
-    outside [0, dim] give the empty tuple.
+    outside [0, dim] give the empty tuple. Nothing is kept here: the
+    shape's engine keeps each basis it reads (`chow.Engine.basis`).
     """
     if degree < 0 or degree > shape.dim:
         return ()

@@ -179,12 +179,19 @@ def giambelli_expand(lam, shape) -> list:
     return sorted(((c, mono) for mono, c in acc.items() if c), key=lambda item: item[1])
 
 
+@lru_cache(maxsize=None)
+def _graded_basis(shape, degree: int) -> tuple:
+    """`grasstodd.enumerate_box`, which keeps nothing, enumerated once per
+    (shape, degree) for the basis scans of `strip_pieri`."""
+    from grasstodd import enumerate_box
+
+    return enumerate_box(shape, degree)
+
+
 def strip_pieri(lam, m: int, shape) -> tuple:
     """[lam] * sigma_m: every box partition one horizontal m-strip larger
     than lam, found by scanning the graded basis."""
-    from grasstodd import enumerate_box
-
-    return tuple(nu for nu in enumerate_box(shape, sum(lam) + m) if horizontal_strip(lam, nu))
+    return tuple(nu for nu in _graded_basis(shape, sum(lam) + m) if horizontal_strip(lam, nu))
 
 
 def giambelli_pieri_product(lam, mu, shape) -> dict:
@@ -383,3 +390,34 @@ def eager_tangent_classes(shape) -> dict:
         todd = multiply(todd, factor)
     return {"ch_Q": ch_q, "ch_S": ch_s, "ch_S_dual": ch_s_dual, "ch_tangent": ch_t,
             "chern_tangent": chern, "todd": todd}
+
+
+def beta_power_sum(lam: tuple, j: int, d: int, n: int) -> dict:
+    """[lam] * p_j for j >= 1 by the Murnaghan-Nakayama rule on the whole
+    padded list of beta-numbers, the reference for the engine's step that
+    slices lam.
+
+    The beta-numbers of lam padded to d parts are lam_i + d - 1 - i. Adding
+    j to one of them gives mu with sign (-1) to the number of beta-numbers
+    jumped; a collision gives nothing, and so does a result above n - 1.
+    """
+    beta = [p + d - 1 - r for r, p in enumerate(tuple(lam) + (0,) * (d - len(lam)))]
+    out = {}
+    for i, b in enumerate(beta):
+        moved = b + j
+        if moved < n and moved not in beta:
+            k = i  # moved lands at k, jumping the i - k beta-numbers before i
+            while k and beta[k - 1] < moved:
+                k -= 1
+            new = beta[:k] + [moved] + beta[k:i] + beta[i + 1:]
+            mu = tuple(v + r + 1 - d for r, v in enumerate(new) if v + r + 1 - d)
+            out[mu] = -1 if (i - k) & 1 else 1
+    return out
+
+
+def gorenstein_parity_check(shape) -> bool:
+    """True iff every odd-degree Todd component reduces to zero mod h."""
+    from grasstodd import tau_components
+
+    report = tau_components(shape)
+    return all(r.is_zero for r in report.records if r.degree % 2 == 1)

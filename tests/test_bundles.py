@@ -34,6 +34,7 @@ from grasstodd import (
     zero,
 )
 from grasstodd.bundles import chow_pipeline
+from grasstodd.chow import ENGINES
 from oracles import eager_tangent_classes
 from testbed import chern_S_inverse_series, exp_graded, graded_context, power_sums_from_elementary
 
@@ -225,12 +226,12 @@ def test_every_cap_matches_textbook_oracle_in_both_fill_orders():
         for d in range(1, n):
             s = GrassmannShape(d, n)
             oracle = eager_tangent_classes(s)
-            chow_pipeline.cache_clear()
+            ENGINES.clear()
             check_against_oracle(s, oracle, None)
             for cap in range(s.dim + 1):
                 check_against_oracle(s, oracle, cap)
             for cap in range(s.dim + 1):
-                chow_pipeline.cache_clear()
+                ENGINES.clear()
                 check_against_oracle(s, oracle, cap)
                 check_against_oracle(s, oracle, None)
 
@@ -250,11 +251,11 @@ def test_warm_repeat_does_no_arithmetic(monkeypatch):
 
     # the MN kernel past j = 1 (j = 1 is h), the recurrence, and the one
     # integer normalization every piece passes through
-    spy(chow_module._Ring, "power_sum", lambda ring, lam, j: j > 1)
+    spy(chow_module.Engine, "power_sum", lambda engine, lam, j: j > 1)
     spy(bundles_module.TangentPipeline, "_recurrence")
     spy(bundles_module, "_lowest")
     s = GrassmannShape(3, 6)
-    chow_pipeline.cache_clear()  # the next pipeline binds the spied kernels
+    ENGINES.clear()  # the next pipeline binds the spied kernels
     queries = [(fn, cap) for cap in (3, None, 1)
                for fn in (todd_tangent, chern_tangent, ch_tangent, ch_Q, ch_S, ch_S_dual)]
     first = [fn(s, cap) for fn, cap in queries]
@@ -262,7 +263,7 @@ def test_warm_repeat_does_no_arithmetic(monkeypatch):
     calls.clear()
     assert [fn(s, cap) for fn, cap in queries] == first
     assert calls == []
-    chow_pipeline.cache_clear()
+    ENGINES.clear()
 
 
 def test_tangent_operator_is_the_product_with_the_tangent_character():
@@ -286,10 +287,10 @@ def test_fractional_chern_piece_raises(monkeypatch):
     monkeypatch.setattr(bundles_module, "_chern_weight",
                         lambda j: Fraction(1, 3) if j == 2 else weight(j))
     s = GrassmannShape(2, 4)
-    chow_pipeline.cache_clear()
+    ENGINES.clear()
     with pytest.raises(ArithmeticError, match="denominator"):
         chern_tangent(s)
-    chow_pipeline.cache_clear()
+    ENGINES.clear()
 
 
 def test_pipeline_pieces_match_the_joined_classes():

@@ -9,8 +9,10 @@ points.
 """
 
 import contextlib
+import gc
 import io
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,10 +21,10 @@ from hypothesis import given, strategies as st
 from grasstodd import (
     ChowElement,
     GrassmannShape,
-    HMatrixSet,
     NonHomogeneousError,
     ShapeMismatchError,
     build_h_matrices,
+    chern_tangent,
     conjugate,
     enumerate_box,
     fits_box,
@@ -32,15 +34,19 @@ from grasstodd import (
     normalize_partition,
     pieri,
     reduce_mod_h,
+    roberts_verdict,
     scale,
     schubert,
     sigma,
+    tau_components,
+    todd_tangent,
     unit,
     zero,
 )
-from grasstodd.chow import combine, ring, term_order
+from grasstodd.chow import ENGINES, Engine, combine, ring, term_order
 from grasstodd.cli import print_class, ser_class
 from oracles import (
+    beta_power_sum,
     distinct_points,
     eager_h_echelons,
     eager_tau,
@@ -289,12 +295,12 @@ def test_pair_product_matches_giambelli_pieri_oracle():
                 assert r.pair_product(lam, mu) == giambelli_pieri_product(lam, mu, s), (s, lam, mu)
 
 
-def test_lr_coefficient_builds_no_ring():
-    before = ring.cache_info()
+def test_lr_coefficient_builds_no_ring(monkeypatch):
+    built = []
+    monkeypatch.setattr(ENGINES, "get", lambda shape: built.append(shape))
     assert lr_coefficient((3, 2, 1), (3, 2, 1), (4, 3, 3, 1, 1)) == 3
     assert lr_coefficient((5, 4, 3, 2, 1), (5, 4, 3, 2, 1), (6, 5, 5, 4, 3, 2, 2, 2, 1)) == 24
-    after = ring.cache_info()
-    assert (after.currsize, after.misses) == (before.currsize, before.misses)
+    assert built == []
 
 
 def test_lr_coefficient_zero_unless_both_factors_inside_nu():
@@ -418,7 +424,7 @@ def test_lazy_echelons_match_eager_oracle():
             s = GrassmannShape(d, n)
             bases = [enumerate_box(s, i) for i in range(s.dim + 1)]
             eager = eager_h_echelons(bases, d, n - d)
-            hm = HMatrixSet(s)
+            hm = Engine(s).hmats
             # top degree first: no degree may depend on another being built
             for i in range(s.dim, 0, -1):
                 assert hm.echelon(i) == eager[i], (d, n, i)
@@ -427,7 +433,7 @@ def test_lazy_echelons_match_eager_oracle():
 
 
 def test_echelon_degree_range_and_built_is_read_only():
-    hm = HMatrixSet(GrassmannShape(2, 5))
+    hm = Engine(GrassmannShape(2, 5)).hmats
     assert hm.built == ()
     for bad in (0, 7):
         with pytest.raises(ValueError):
@@ -487,12 +493,16 @@ def random_class(shape, rng, terms=4):
 
 
 def test_reduce_mod_h_matches_dense_elimination(rng):
-    for s in SMALL_SHAPES:
+    # random classes, and one with every basis class in its support, whose
+    # reduction reads every integer row; from G(5,8) on some pivot entries
+    # exceed 1
+    for s in (GrassmannShape(d, n) for n in range(2, 11) for d in range(1, n)):
         bases = [enumerate_box(s, i) for i in range(s.dim + 1)]
         echelons = eager_h_echelons(bases, s.d, s.cols)
-        hm = HMatrixSet(s)
-        for _ in range(3):
-            a = random_class(s, rng, terms=6)
+        hm = Engine(s).hmats
+        full = ChowElement(s, {lam: Fraction(k + 1, k + 2)
+                               for basis in bases for k, lam in enumerate(basis)})
+        for a in [random_class(s, rng, terms=6) for _ in range(3)] + [full]:
             want = eager_tau(a.terms, bases, echelons)
             for j in range(1, s.dim + 1):
                 rep, is_zero = reduce_mod_h(a.component(j), hm)
@@ -503,7 +513,7 @@ def test_reduce_mod_h_matches_dense_elimination(rng):
 
 def test_degree_one_quotient_needs_no_echelon():
     for s in SMALL_SHAPES:
-        hm = HMatrixSet(s)
+        hm = Engine(s).hmats
         assert hm.quotient_dim(1) == 0
         assert reduce_mod_h(sigma(s, 1), hm) == (zero(s), True)
         assert hm.built == ()
@@ -532,3 +542,59 @@ def test_h_columns_are_power_sum_one():
         for w in range(s.dim):
             for lam in enumerate_box(s, w):
                 assert r.power_sum(lam, 1) == r.pair_product(lam, (1,))
+
+
+def test_power_sum_matches_the_beta_list_oracle():
+    # the step that slices lam against the step on the whole beta list, on
+    # every (lam, j) of every shape with n <= 10
+    for n in range(2, 11):
+        for d in range(1, n):
+            s = GrassmannShape(d, n)
+            r = Engine(s)
+            for w in range(s.dim + 1):
+                for lam in enumerate_box(s, w):
+                    for j in range(1, s.dim + 1):
+                        assert r.power_sum(lam, j) == beta_power_sum(lam, j, d, n), (s, lam, j)
+
+
+# --- the engine registry ------------------------------------------------------
+
+def test_registry_holds_at_most_its_bound():
+    ENGINES.clear()
+    for n in range(2, 11):
+        for d in range(1, n):
+            s = GrassmannShape(d, n)
+            roberts_verdict(s, mode="verdict")
+            multiply(sigma(s, 1), sigma(s, 1))
+            assert len(ENGINES) <= ENGINES.bound, s
+    assert len(ENGINES) == ENGINES.bound
+    # the most recently used shapes stay; a new one drops the least recent
+    last = ring(GrassmannShape(9, 10))
+    ring(GrassmannShape(1, 2))
+    assert ring(GrassmannShape(9, 10)) is last
+    assert len(ENGINES) == ENGINES.bound
+
+
+def test_clear_frees_what_the_engines_held():
+    def fill():
+        for d, n in ((2, 6), (3, 7), (4, 8)):
+            s = GrassmannShape(d, n)
+            tau_components(s)
+            todd_tangent(s)
+            chern_tangent(s)
+            multiply(schubert(s, (2, 1)), schubert(s, (2, 1)))
+
+    fill()  # the caches that are not per shape (Bernoulli numbers) fill here
+    ENGINES.clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fill()
+        held = tracemalloc.get_traced_memory()[0] - base
+        ENGINES.clear()
+        gc.collect()  # the pipelines' reference cycles
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held > 250_000, held
+    assert left < held // 50, (held, left)

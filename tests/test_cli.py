@@ -192,6 +192,57 @@ def test_bundle_text_mod_h_builds_no_json(capsys, monkeypatch):
     assert code == 0 and calls  # the spy sees the JSON path
 
 
+def bundle_queries(shapes):
+    """Every `bundle` query on `shapes`: each class, cap (none or 3), with
+    and without --mod-h, in JSON and in text."""
+    return [
+        ["bundle", str(d), str(n), which, *cap, *mod_h, *as_json]
+        for d, n in shapes
+        for which in ("--todd", "--ch", "--chern")
+        for cap in ((), ("--max-degree", "3"))
+        for mod_h in ((), ("--mod-h",))
+        for as_json in ((), ("--json",))
+    ]
+
+
+# Each argv in its own fork of a process that has only imported the CLI, so
+# every query starts as a fresh command-line invocation does.
+FRESH_RUNS = textwrap.dedent("""
+    import contextlib, io, json, os, sys
+    import grasstodd.cli as cli
+    results = []
+    for argv in json.loads(sys.stdin.read()):
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.close(read)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            os.write(write, json.dumps([code, out.getvalue()]).encode())
+            os._exit(0)
+        os.close(write)
+        with os.fdopen(read, "rb") as fh:
+            results.append(json.loads(fh.read()))
+        os.waitpid(pid, 0)
+    print(json.dumps(results))
+""")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="fresh runs fork a clean process")
+def test_repeated_bundle_queries_match_fresh_processes(capsys):
+    # the second run of a query reads the rows kept on the shape's engine
+    queries = bundle_queries([(2, 6), (3, 7), (3, 8), (4, 8)])
+    fresh = subprocess.run([sys.executable, "-c", FRESH_RUNS], input=json.dumps(queries),
+                           capture_output=True, text=True, timeout=300)
+    assert fresh.returncode == 0, fresh.stderr
+    want = [tuple(r) for r in json.loads(fresh.stdout)]
+    for _ in range(2):
+        for argv, expected in zip(queries, want):
+            code, out, _ = run(capsys, *argv)
+            assert (code, out) == expected, argv
+
+
 def test_bundle_max_degree_validation(capsys):
     code, _, err = run(capsys, "bundle", "2", "4", "--todd", "--max-degree", "9")
     assert code == 2

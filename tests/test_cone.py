@@ -16,7 +16,6 @@ from grasstodd import (
     build_h_matrices,
     cone_chow_dims,
     enumerate_box,
-    gorenstein_parity_check,
     multiply,
     reduce_mod_h,
     roberts_verdict,
@@ -25,8 +24,8 @@ from grasstodd import (
     tau_components,
     verdict_table,
 )
-from grasstodd.bundles import chow_pipeline
-from oracles import eager_h_echelons, eager_tangent_classes, eager_tau
+from grasstodd.chow import ENGINES
+from oracles import eager_h_echelons, eager_tangent_classes, eager_tau, gorenstein_parity_check
 
 
 def expected_roberts(d: int, n: int) -> bool:
@@ -72,7 +71,7 @@ def test_cone_chow_dims_match_eager_ranks():
 
 
 def test_verdict_mode_builds_only_the_echelons_it_reads():
-    build_h_matrices.cache_clear()
+    ENGINES.clear()
     report = roberts_verdict(GrassmannShape(4, 9), mode="verdict")
     assert report.witness == 2
     assert build_h_matrices(GrassmannShape(4, 9)).built == (2,)
@@ -115,12 +114,13 @@ def test_verdict_on_projective_spaces_needs_only_rank_certificates(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapped)
 
-    # the h-columns are power_sum(lam, 1); any longer power sum is Todd work
-    spy(chow_module._Ring, "power_sum", lambda ring, lam, j: j > 1)
+    # the h-columns are power_sum(lam, 1); any longer power sum is Todd work,
+    # and a pipeline on the Chow ring itself (not a tau stream) is too
+    spy(chow_module.Engine, "power_sum", lambda engine, lam, j: j > 1)
     spy(bundles_module.TangentPipeline, "_recurrence")
-    chow_module.ring.cache_clear()  # cold kernel memos, so the control below reaches them
-    build_h_matrices.cache_clear()
-    chow_pipeline.cache_clear()
+    spy(bundles_module.TangentPipeline, "__init__",
+        lambda pipe, *args: type(pipe) is bundles_module.TangentPipeline)
+    ENGINES.clear()  # cold kernel memos, so the control below reaches them
     for n in range(2, 13):
         for d in (1, n - 1):
             s = GrassmannShape(d, n)
@@ -129,14 +129,13 @@ def test_verdict_on_projective_spaces_needs_only_rank_certificates(monkeypatch):
             # every degree but the first certified by a 1x1 rank, degree 1 by enumeration
             assert build_h_matrices(s).built == tuple(range(2, s.dim + 1))
     assert calls == []
-    assert chow_pipeline.cache_info().misses == 0
     # positive control: the same spies see the Todd work of G(2,4); there
     # n = 2d, so T_2 = 2 p_1^2 needs no longer power sum, which G(2,5) does
     roberts_verdict(GrassmannShape(2, 4), mode="verdict")
     assert calls == ["_recurrence"]
     roberts_verdict(GrassmannShape(2, 5), mode="verdict")
     assert {"power_sum", "_recurrence"} <= set(calls)
-    assert chow_pipeline.cache_info().misses == 0
+    assert "__init__" not in calls
 
 
 def test_todd_work_stops_at_top_nonzero_quotient_degree():
