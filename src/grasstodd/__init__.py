@@ -18,7 +18,6 @@ from .bundles import (
 )
 from .chow import (
     ChowElement,
-    HMatrixSet,
     NonHomogeneousError,
     ShapeMismatchError,
     build_h_matrices,
@@ -72,7 +71,6 @@ __all__ = [
     "ChowElement",
     "ConeChowDims",
     "GrassmannShape",
-    "HMatrixSet",
     "NonHomogeneousError",
     "Partition",
     "PfaffianClassification",

@@ -8,7 +8,7 @@ Todd class of the tangent bundle — everything as exact Schubert-basis classes.
 power-sum action of the Chern characters. `chow_pipeline(shape)` is its
 instance on the Chow ring, kept on the shape's engine (`chow.Engine`), and
 every constructor here reads a prefix of its degrees; `cone.TauStream` is
-the instance whose classes are reduced modulo h, kept on the same engine.
+the subclass whose classes are reduced modulo h, kept on the same engine.
 
 Chern classes and characters are `BundleClass`es. All constructors but
 `chern_Q` take `max_degree`, the top degree to compute: None or a value
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, partial, partialmethod
 from math import comb, factorial, gcd, lcm
 
 from .chow import ChowElement, combine, engine, sigma, zero
@@ -46,89 +46,111 @@ class BundleClass:
         return zero(self.shape)
 
 
+_UNIT = {(): 1}  # the unit as an integer piece; never mutated
+
+
 class TangentPipeline:
-    """The tangent-bundle classes of one shape, one degree at a time.
+    """The tangent-bundle classes of one shape on its Chow ring, one degree
+    at a time.
 
     m! ch_m of a bundle is the m-th power sum of its Chern roots. For S* it
     is p_m, which acts on a class by the Murnaghan-Nakayama step
-    (`_Ring.power_sum`); for Q it is p_m(Q) = (-1)^(m+1) p_m; the ranks d
-    and n-d sit in degree 0. The operator T_j = j! ch_j(T) for T = S* (x) Q
-    acts on a whole class (`_tangent`), and the Todd and the Chern classes
-    of T share one recurrence over it,
+    (`chow.Engine.power_sum`); for Q it is p_m(Q) = (-1)^(m+1) p_m; the
+    ranks d and n-d sit in degree 0. The operator T_j = j! ch_j(T) for
+    T = S* (x) Q acts on a whole class (`_tangent`), and the Todd and the
+    Chern classes of T share one recurrence over it,
         y_k = (1/k) sum_j w_j T_j y_(k-j),
     with w_j = j a_j for td = exp(sum_j a_j j! ch_j(T)) and
     w_j = (-1)^(j-1) for the Chern classes (Newton's identities).
 
-    Every sequence is held as integer graded pieces: a {partition: int}
-    dict over one positive denominator, with gcd 1. `reduce`, when given,
-    maps a degree k >= 1 and a piece (terms, den) of that degree to its
-    canonical form in the same layout; without it the classes live in the
-    Chow ring itself, where every Chern piece must come out with
-    denominator 1 (checked, raising ArithmeticError otherwise). Each
-    public sequence maps a degree to its homogeneous `ChowElement`,
-    converted once from the piece and kept. A degree where `vanishes(k)`
-    holds is zero in every sequence with no work, and the recurrence skips
-    the terms whose operator T_j lies in such a degree.
+    Each sequence (`todd`, `chern`, `ch_tangent`, `ch_s_dual`, `ch_q`,
+    `ch_s`) maps a degree to its homogeneous `ChowElement`. Its pieces are
+    built by the method of the same name with a leading underscore, held as
+    integer graded pieces (a {partition: int} dict over one positive
+    denominator, with gcd 1) and kept in one memo under (sequence, degree).
+    A degree where `vanishes(k)` holds is zero in every sequence with no
+    work, and the recurrence skips the terms whose operator T_j lies in such
+    a degree; every piece of degree k >= 1 passes through `reduce`. Here
+    degrees above t vanish and `reduce` is the identity, and every Chern
+    piece must come out with denominator 1 (checked, raising
+    ArithmeticError otherwise); `cone.TauStream` overrides both to work in
+    A/(h).
     """
 
-    def __init__(self, shape: GrassmannShape, vanishes, reduce=None):
+    def __init__(self, shape: GrassmannShape):
         self.shape = shape
-        self._power = engine(shape).power_sum
-        self._vanishes = vanishes
-        self._reduce = reduce
-        self._todd_work: list = []
-        self._todd_piece = self._pieces(self._todd)
-        self._chern_piece = self._pieces(self._chern)
-        self.todd = self._public(self._todd_piece)
-        self.chern = self._public(self._chern_piece)
-        one = {(): 1}
-        self.ch_tangent = self._character(shape.dim, lambda m: self._tangent([(m, 1, one)]))
-        self.ch_s_dual = self._character(shape.d, lambda m: self._apply(one, m, 1, {}))
-        self.ch_q = self._character(shape.cols, lambda m: self._apply(one, m, (-1) ** (m + 1), {}))
-        # ch_m(S) = (-1)^m ch_m(S*)
-        self.ch_s = self._character(shape.d, lambda m: self._apply(one, m, (-1) ** m, {}))
+        self.engine = engine(shape)
+        self._memo: dict = {}  # (sequence, degree) -> (terms, den, ChowElement)
 
-    def _character(self, rank: int, power):
-        """The Chern character whose m! ch_m is `power(m)` for m >= 1."""
-        return self._public(self._pieces(
-            lambda m: (power(m), factorial(m)) if m else ({(): rank}, 1)))
+    def vanishes(self, k: int) -> bool:
+        return k > self.shape.dim
 
-    def _pieces(self, rule):
-        """Memoized integer pieces of `rule`, reduced in degrees >= 1."""
-        memo: dict = {}
+    def reduce(self, k: int, terms: dict, den: int) -> tuple:
+        return terms, den
 
-        def at(k: int) -> tuple:
-            hit = memo.get(k)
-            if hit is None:
-                if self._vanishes(k):
-                    hit = ({}, 1)
-                else:
-                    hit = rule(k)
-                    if k and self._reduce is not None:
-                        hit = self._reduce(k, *hit)
-                    hit = _lowest(*hit)
-                memo[k] = hit
-            return hit
+    def _piece(self, name: str, k: int) -> tuple:
+        """The degree-k piece of sequence `name`, built once: its integer
+        terms and denominator, reduced when k >= 1 and in lowest terms, and
+        the `ChowElement` they stand for."""
+        hit = self._memo.get((name, k))
+        if hit is None:
+            terms, den = {}, 1
+            if not self.vanishes(k):
+                terms, den = getattr(self, "_" + name)(k)
+                if k:
+                    terms, den = self.reduce(k, terms, den)
+                terms, den = _lowest(terms, den)
+            element = ChowElement(self.shape, {lam: Fraction(c, den) for lam, c in terms.items()})
+            hit = self._memo[name, k] = (terms, den, element)
+        return hit
 
-        return at
+    def _element(self, name: str, k: int) -> ChowElement:
+        return self._piece(name, k)[2]
 
-    def _public(self, piece):
-        """Memoized `ChowElement`s of the integer pieces of `piece`."""
-        memo: dict = {}
+    todd = partialmethod(_element, "todd")
+    chern = partialmethod(_element, "chern")
+    ch_tangent = partialmethod(_element, "ch_tangent")
+    ch_s_dual = partialmethod(_element, "ch_s_dual")
+    ch_q = partialmethod(_element, "ch_q")
+    ch_s = partialmethod(_element, "ch_s")
 
-        def at(k: int) -> ChowElement:
-            hit = memo.get(k)
-            if hit is None:
-                terms, den = piece(k)
-                hit = ChowElement(self.shape, {lam: Fraction(c, den) for lam, c in terms.items()})
-                memo[k] = hit
-            return hit
+    def _todd(self, k: int) -> tuple:
+        if k == 0:
+            return _UNIT, 1
+        return self._recurrence(k, "todd", _todd_weight)
 
-        return at
+    def _chern(self, k: int) -> tuple:
+        if k == 0:
+            return _UNIT, 1
+        terms, den = _lowest(*self._recurrence(k, "chern", _chern_weight))
+        # only the Chow ring's own classes must be integral
+        if den != 1 and type(self) is TangentPipeline:
+            raise ArithmeticError(f"Chern piece {k} of {self.shape} has denominator {den}")
+        return terms, den
+
+    def _ch_tangent(self, m: int) -> tuple:
+        if m == 0:
+            return {(): self.shape.dim}, 1
+        return self._tangent([(m, 1, _UNIT)]), factorial(m)
+
+    def _ch_s_dual(self, m: int) -> tuple:
+        return self._character(self.shape.d, m, 1)
+
+    def _ch_q(self, m: int) -> tuple:
+        return self._character(self.shape.cols, m, (-1) ** (m + 1))
+
+    def _ch_s(self, m: int) -> tuple:
+        return self._character(self.shape.d, m, (-1) ** m)  # ch_m(S) = (-1)^m ch_m(S*)
+
+    def _character(self, rank: int, m: int, sign: int) -> tuple:
+        """Piece m of the character with m! ch_m = sign p_m for m >= 1."""
+        if m == 0:
+            return {(): rank}, 1
+        return self._apply(_UNIT, m, sign, {}), factorial(m)
 
     def _apply(self, terms: dict, m: int, c: int, out: dict) -> dict:
         """out += c p_m terms, one Murnaghan-Nakayama step per term."""
-        power = self._power
+        power = self.engine.power_sum
         for lam, a in terms.items():
             ca = c * a
             for mu, sign in power(lam, m).items():
@@ -164,7 +186,7 @@ class TangentPipeline:
             self._apply(terms, i, 1, out)
         return out
 
-    def _recurrence(self, k: int, piece, weight) -> tuple:
+    def _recurrence(self, k: int, name: str, weight) -> tuple:
         """The unreduced integer piece y_k; w_j is tested before `vanishes(j)`,
         which may build an echelon form.
 
@@ -175,32 +197,13 @@ class TangentPipeline:
         parts = []
         for j in range(1, k + 1):
             w = weight(j)
-            if w and not self._vanishes(j):
-                terms, den = piece(k - j)
+            if w and not self.vanishes(j):
+                terms, den, _ = self._piece(name, k - j)
                 if terms:
                     parts.append((j, w, terms, den * w.denominator))
         m = lcm(*(scale for *_, scale in parts))
         out = self._tangent((j, w.numerator * (m // scale), terms) for j, w, terms, scale in parts)
         return out, k * m
-
-    def _todd(self, k: int) -> tuple:
-        if k == 0:
-            return {(): 1}, 1
-        self._todd_work.append(k)
-        return self._recurrence(k, self._todd_piece, _todd_weight)
-
-    def _chern(self, k: int) -> tuple:
-        if k == 0:
-            return {(): 1}, 1
-        terms, den = _lowest(*self._recurrence(k, self._chern_piece, _chern_weight))
-        if den != 1 and self._reduce is None:
-            raise ArithmeticError(f"Chern piece {k} of {self.shape} has denominator {den}")
-        return terms, den
-
-    @property
-    def todd_degrees(self) -> tuple:
-        """Degrees >= 1 whose Todd component ran the recurrence."""
-        return tuple(sorted(self._todd_work))
 
 
 @cache  # computed once per j, not once per step (k, j) of the recurrence
@@ -225,7 +228,7 @@ def _lowest(terms: dict, den: int) -> tuple:
 def chow_pipeline(shape: GrassmannShape) -> TangentPipeline:
     """The shape's pipeline on the Chow ring, kept on its engine; degrees
     above t vanish."""
-    return engine(shape).kept("chow pipeline", lambda: TangentPipeline(shape, lambda k: k > shape.dim))
+    return engine(shape).kept("chow pipeline", lambda: TangentPipeline(shape))
 
 
 def _cap(shape: GrassmannShape, max_degree: int | None) -> int:

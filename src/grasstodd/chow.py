@@ -175,14 +175,22 @@ class Engine:
 
     It holds the graded bases (`basis`), the memoised integer kernels: the
     Murnaghan-Nakayama step (`power_sum`) and basis products by the
-    Littlewood-Richardson rule (`pair_product`), the multiplication-by-h
-    data (`hmats`), and the per-shape objects of the higher layers, each
-    built once under its key (`kept`): the tangent pipelines and the
-    rendered rows of the command line. Engines are served by the bounded
-    registry `ENGINES`.
+    Littlewood-Richardson rule (`pair_product`), multiplication by
+    h = sigma_1 (`echelon`, `rank`, `quotient_dim`, `normal_forms`), and
+    the per-shape objects of the higher layers, each built once under its
+    key (`kept`): the tangent pipelines and the rendered rows of the
+    command line. Engines are served by the bounded registry `ENGINES`.
 
     Memo values are never mutated once stored; a kept pipeline only adds
-    degrees to its own memos.
+    degrees to its own memo.
+
+    For degree i in 1..dim, h sends the degree-(i-1) basis into the
+    degree-i one; each source partition gives a 0/1 column. `echelon(i)` is
+    a reduced integer row basis of the column space, stored as (pivot
+    position, vector) pairs with a positive pivot entry, computed when first
+    asked for and kept; `rank(i)` is its length. `quotient_dim(i)` and
+    `normal_forms(i)` give the degree-i piece of the quotient A/(h), read
+    off the same echelons.
     """
 
     def __init__(self, shape: GrassmannShape):
@@ -191,8 +199,9 @@ class Engine:
         self._power: dict = {}  # j -> {lam: power_sum(lam, j)}
         self._parts: dict = {}  # one tuple per partition the MN step returns
         self._pair: dict = {}
+        self._echelons: dict = {}
+        self._forms: dict = {}
         self._kept: dict = {}
-        self.hmats = HMatrixSet(self)
 
     def basis(self, degree: int) -> tuple:
         """`enumerate_box` of the shape at `degree`, enumerated once."""
@@ -261,6 +270,58 @@ class Engine:
             self._pair[key] = hit
         return hit
 
+    def echelon(self, degree: int) -> tuple:
+        hit = self._echelons.get(degree)
+        if hit is None:
+            if not 1 <= degree <= self.shape.dim:
+                raise ValueError(f"degree must lie in [1, {self.shape.dim}]")
+            hit = _h_echelon(self, degree)
+            self._echelons[degree] = hit
+        return hit
+
+    def rank(self, degree: int) -> int:
+        return len(self.echelon(degree))
+
+    def quotient_dim(self, degree: int) -> int:
+        """Dimension of the degree piece of A/(h); zero outside 0..dim.
+
+        Degree 1 needs no echelon form: when enumeration shows its basis is
+        exactly [(1,)] = h * 1, the piece is zero.
+        """
+        if degree == 0:
+            return 1
+        basis = self.basis(degree)
+        if not basis or (degree == 1 and basis == ((1,),)):
+            return 0
+        return len(basis) - self.rank(degree)
+
+    def normal_forms(self, degree: int) -> dict:
+        """Canonical representative mod h of every degree basis partition,
+        as an integer row over one positive denominator.
+
+        Maps each partition to a ({partition: int}, den) pair on the
+        non-pivot partitions: a non-pivot one maps to ({itself: 1}, 1), the
+        pivot of an echelon row to minus the rest of that row over its
+        pivot entry. The row is primitive, so that pair is in lowest terms.
+        A degree with zero quotient maps everything to ({}, 1).
+        """
+        hit = self._forms.get(degree)
+        if hit is None:
+            basis = self.basis(degree)
+            if self.quotient_dim(degree) == 0:
+                hit = {lam: ({}, 1) for lam in basis}
+            else:
+                rows = self.echelon(degree) if degree else ()
+                pivots = {piv for piv, _ in rows}
+                hit = {lam: ({lam: 1}, 1) for k, lam in enumerate(basis) if k not in pivots}
+                for piv, row in rows:
+                    hit[basis[piv]] = (
+                        {basis[k]: -a for k, a in enumerate(row) if a and k not in pivots},
+                        row[piv],
+                    )
+            self._forms[degree] = hit
+        return hit
+
 
 def _lr_terms(lam: Partition, mu: Partition, rows: int, cols: int) -> dict:
     """Littlewood-Richardson coefficients {nu: c} of s_lam * s_mu, for nu in
@@ -281,21 +342,10 @@ def _lr_terms(lam: Partition, mu: Partition, rows: int, cols: int) -> dict:
             # a strip row may reach the row above as it was before the strip
             caps = [(cols if r == 0 else shape[r - 1]) - shape[r] for r in range(rows)]
             room = list(accumulate(reversed(caps), initial=0))[::-1]
-
-            def place(r: int, left: int, added: tuple, slack: int):
-                # slack: #(k-1) in rows < r minus #k in rows < r; label 1
-                # has no lattice bound
-                if not left:
-                    added += (0,) * (rows - r)
-                    key = (tuple(p + a for p, a in zip(shape, added)), added)
-                    grown[key] = grown.get(key, 0) + c
-                    return
-                if room[r] < left:
-                    return
-                for a in range(min(caps[r], left, slack), -1, -1):
-                    place(r + 1, left - a, added + (a,), slack - a + prev[r])
-
-            place(0, m, (), 0 if k else m)
+            # label 1 has no lattice bound
+            for added in _strips(caps, room, prev, 0, m, 0 if k else m, ()):
+                key = (tuple(p + a for p, a in zip(shape, added)), added)
+                grown[key] = grown.get(key, 0) + c
         states = grown
     out: dict = {}
     for (shape, _), c in states.items():
@@ -304,10 +354,29 @@ def _lr_terms(lam: Partition, mu: Partition, rows: int, cols: int) -> dict:
     return out
 
 
+def _strips(caps: list, room: list, prev: tuple, r: int, left: int, slack: int, added: tuple):
+    """Every way to add a horizontal strip of `left` boxes to rows r.. of
+    `_lr_terms`' current shape, as the full tuple of boxes added per row:
+    at most caps[r] in row r, `room[r]` in rows r.. together, and at most
+    `slack` = #(k-1) in rows < r minus #k in rows < r, where k is the label
+    being placed and prev[r] the number of k-1 in row r."""
+    if not left:
+        yield added + (0,) * (len(caps) - r)
+        return
+    if room[r] < left:
+        return
+    for a in range(min(caps[r], left, slack), -1, -1):
+        yield from _strips(caps, room, prev, r + 1, left - a, slack - a + prev[r], added + (a,))
+
+
 class EngineRegistry:
     """The per-shape engines of one process, at most `bound` shapes: when a
     new shape would pass the bound, the least recently used engine is
-    dropped. `clear()` drops them all."""
+    dropped. `clear()` drops them all.
+
+    A kept pipeline refers back to its engine, so a dropped engine's kept
+    objects are emptied: that breaks the one reference cycle, and reference
+    counting frees the engine at once."""
 
     def __init__(self, bound: int):
         self.bound = bound
@@ -321,14 +390,15 @@ class EngineRegistry:
         hit = engines.pop(shape, None)
         if hit is None:
             if len(engines) >= self.bound:
-                del engines[next(iter(engines))]
+                engines.pop(next(iter(engines)))._kept.clear()
             hit = Engine(shape)
         engines[shape] = hit
         return hit
 
     def clear(self) -> None:
-        """Drops every engine. Their pipelines hold reference cycles, so
-        the memory comes back at the next garbage collection."""
+        """Drops every engine."""
+        for dropped in self._engines.values():
+            dropped._kept.clear()
         self._engines.clear()
 
 
@@ -385,83 +455,6 @@ def _inside(lam: Partition, nu: Partition) -> bool:
     return len(lam) <= len(nu) and all(p <= q for p, q in zip(lam, nu))
 
 
-class HMatrixSet:
-    """Multiplication by h = sigma_1 on the graded pieces of one engine's
-    shape, with echelon data built one degree at a time on first use.
-
-    For degree i in 1..dim, the map sends the degree-(i-1) basis into the
-    degree-i one; each source partition gives a 0/1 column. `echelon(i)` is
-    a reduced integer row basis of the column space, stored as (pivot
-    position, vector) pairs with a positive pivot entry, and `rank(i)` is
-    its length. A degree's echelon form is computed when first asked for
-    and kept; `built` lists the degrees computed so far. `quotient_dim(i)`
-    and `normal_forms(i)` give the degree-i piece of the quotient A/(h),
-    read off the same echelons.
-    """
-
-    def __init__(self, engine: Engine):
-        self.shape = engine.shape
-        self._engine = engine
-        self._echelons: dict = {}
-        self._forms: dict = {}
-
-    @property
-    def built(self) -> tuple[int, ...]:
-        return tuple(sorted(self._echelons))
-
-    def echelon(self, degree: int) -> tuple:
-        hit = self._echelons.get(degree)
-        if hit is None:
-            if not 1 <= degree <= self.shape.dim:
-                raise ValueError(f"degree must lie in [1, {self.shape.dim}]")
-            hit = _h_echelon(self._engine, degree)
-            self._echelons[degree] = hit
-        return hit
-
-    def rank(self, degree: int) -> int:
-        return len(self.echelon(degree))
-
-    def quotient_dim(self, degree: int) -> int:
-        """Dimension of the degree piece of A/(h); zero outside 0..dim.
-
-        Degree 1 needs no echelon form: when enumeration shows its basis is
-        exactly [(1,)] = h * 1, the piece is zero.
-        """
-        if degree == 0:
-            return 1
-        basis = self._engine.basis(degree)
-        if not basis or (degree == 1 and basis == ((1,),)):
-            return 0
-        return len(basis) - self.rank(degree)
-
-    def normal_forms(self, degree: int) -> dict:
-        """Canonical representative mod h of every degree basis partition,
-        as an integer row over one positive denominator.
-
-        Maps each partition to a ({partition: int}, den) pair on the
-        non-pivot partitions: a non-pivot one maps to ({itself: 1}, 1), the
-        pivot of an echelon row to minus the rest of that row over its
-        pivot entry. The row is primitive, so that pair is in lowest terms.
-        A degree with zero quotient maps everything to ({}, 1).
-        """
-        hit = self._forms.get(degree)
-        if hit is None:
-            basis = self._engine.basis(degree)
-            if self.quotient_dim(degree) == 0:
-                hit = {lam: ({}, 1) for lam in basis}
-            else:
-                rows = self.echelon(degree) if degree else ()
-                pivots = {piv for piv, _ in rows}
-                hit = {lam: ({lam: 1}, 1) for k, lam in enumerate(basis) if k not in pivots}
-                for piv, row in rows:
-                    hit[basis[piv]] = (
-                        {basis[k]: -a for k, a in enumerate(row) if a and k not in pivots},
-                        row[piv],
-                    )
-            self._forms[degree] = hit
-        return hit
-
-
 def _integer_rref(vectors: list) -> list:
     """Reduced echelon form over the integers; returns (pivot, row) pairs."""
     echelon: list = []
@@ -508,13 +501,13 @@ def _h_echelon(engine: Engine, degree: int) -> tuple:
     return tuple((piv, tuple(row)) for piv, row in _integer_rref(columns))
 
 
-def build_h_matrices(shape: GrassmannShape) -> HMatrixSet:
-    """The shape's multiplication-by-h data, kept on its engine; echelon
+def build_h_matrices(shape: GrassmannShape) -> Engine:
+    """The shape's engine, which holds its multiplication-by-h data; echelon
     forms come lazily."""
-    return engine(shape).hmats
+    return engine(shape)
 
 
-def reduce_mod_h(a: ChowElement, hmats: HMatrixSet) -> tuple[ChowElement, bool]:
+def reduce_mod_h(a: ChowElement, eng: Engine) -> tuple[ChowElement, bool]:
     """Canonical representative of a homogeneous class modulo h times the
     previous graded piece, plus a membership flag.
 
@@ -523,13 +516,13 @@ def reduce_mod_h(a: ChowElement, hmats: HMatrixSet) -> tuple[ChowElement, bool]:
     flag is True exactly when it vanishes. Each term is reduced against
     its integer row on its own, c / den times the row's integers.
     """
-    _check_shapes(a, hmats)
+    _check_shapes(a, eng)
     if a.is_zero():
         return a, True
     degree = a.homogeneous_degree()
     if degree < 1:
         raise NonHomogeneousError("reduction needs degree at least 1")
-    forms = hmats.normal_forms(degree)
+    forms = eng.normal_forms(degree)
     rep = combine(a.shape, (
         (mu, q * f)
         for lam, c in a.terms.items()

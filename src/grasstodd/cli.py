@@ -257,9 +257,8 @@ def cmd_chow(args) -> int:
         return 0
     # reduce
     element = parse_class(shape, args.cls)
-    hm = build_h_matrices(shape)
     try:
-        rep, is_zero = reduce_mod_h(element, hm)
+        rep, is_zero = reduce_mod_h(element, build_h_matrices(shape))
     except NonHomogeneousError as exc:
         raise UsageError(str(exc)) from None
     if args.json:

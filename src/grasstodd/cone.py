@@ -11,8 +11,9 @@ Reduction mod h is a ring homomorphism, so the reduced components are
 computed in the quotient A/(h) itself, one degree at a time, by the same
 tangent-bundle pipeline that builds the Chow-ring classes (`TauStream`).
 Each shape has one stream, kept on its engine (`tau_stream`): report mode,
-verdict mode, `cone_chow_dims` and `bundle --mod-h` all read it, so a
-degree reduced for one of them is reduced for all.
+verdict mode and `bundle --mod-h` all read it, so a degree reduced for one
+of them is reduced for all. `cone_chow_dims` reads the quotient dimensions
+from the same engine.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .bundles import TangentPipeline
-from .chow import build_h_matrices, engine
+from .chow import ChowElement, engine
 from .partitions import GrassmannShape
 
 
@@ -67,14 +68,13 @@ class TauStream(TangentPipeline):
     degree 1) is zero in every sequence, with no product and no Todd work.
     """
 
-    def __init__(self, shape: GrassmannShape):
-        self.hmats = hmats = build_h_matrices(shape)
-        super().__init__(shape, lambda k: hmats.quotient_dim(k) == 0, self._mod_h)
+    def vanishes(self, k: int) -> bool:
+        return self.engine.quotient_dim(k) == 0
 
-    def _mod_h(self, degree: int, terms: dict, den: int) -> tuple:
+    def reduce(self, degree: int, terms: dict, den: int) -> tuple:
         """The integer piece terms / den of `degree` reduced mod h, against
         the integer rows of `normal_forms` over their common denominator."""
-        forms = self.hmats.normal_forms(degree)
+        forms = self.engine.normal_forms(degree)
         m = lcm(*(forms[lam][1] for lam in terms))
         out: dict = {}
         for lam, c in terms.items():
@@ -108,27 +108,21 @@ def cone_chow_dims(shape: GrassmannShape) -> ConeChowDims:
 
     A_i is the degree-(t+1-i) piece of A/(h) for 1 <= i <= t; A_0 = 0 and
     A_{t+1} is one-dimensional. They are the quotient dimensions of the
-    shape's tau stream.
+    shape's engine (`chow.Engine.quotient_dim`).
     """
     t = shape.dim
-    hm = tau_stream(shape).hmats
+    eng = engine(shape)
     dims = [0] * (t + 2)
     dims[t + 1] = 1
     for i in range(1, t + 1):
-        dims[i] = hm.quotient_dim(t + 1 - i)
+        dims[i] = eng.quotient_dim(t + 1 - i)
     return ConeChowDims(shape, tuple(dims))
 
 
-def _full_report(stream: TauStream) -> RobertsReport:
-    t = stream.shape.dim
-    records = tuple(stream.record(j) for j in range(1, t + 1))
-    witness = min((r.degree for r in records if not r.is_zero), default=None)
-    return RobertsReport(stream.shape, t + 1, records, witness is None, witness)
-
-
 def tau_components(shape: GrassmannShape) -> RobertsReport:
-    """Every reduced Todd component of degree 1..t, no short-circuits."""
-    return _full_report(tau_stream(shape))
+    """Every reduced Todd component of degree 1..t, no short-circuits:
+    `roberts_verdict` in report mode."""
+    return roberts_verdict(shape)
 
 
 def roberts_verdict(shape: GrassmannShape, mode: str = "report") -> RobertsReport:
@@ -137,22 +131,22 @@ def roberts_verdict(shape: GrassmannShape, mode: str = "report") -> RobertsRepor
     In "report" mode every degree is computed. In "verdict" mode even
     degrees are scanned first in increasing order, stopping at the first
     nonzero component; odd degrees only need checking when all even ones
-    vanish. Both read the shape's one `TauStream` (`tau_stream`), which
-    builds each degree once.
+    vanish, and then every degree is reported. Both read the shape's one
+    `TauStream` (`tau_stream`), which builds each degree once.
     """
     if mode not in ("report", "verdict"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "report":
-        return tau_components(shape)
     t = shape.dim
     stream = tau_stream(shape)
-    records = []
-    for j in range(2, t + 1, 2):
-        rec = stream.record(j)
-        records.append(rec)
-        if not rec.is_zero:
-            return RobertsReport(shape, t + 1, tuple(records), False, j)
-    return _full_report(stream)
+    if mode == "verdict":
+        records = []
+        for j in range(2, t + 1, 2):
+            records.append(stream.record(j))
+            if not records[-1].is_zero:
+                return RobertsReport(shape, t + 1, tuple(records), False, j)
+    records = tuple(stream.record(j) for j in range(1, t + 1))
+    witness = min((r.degree for r in records if not r.is_zero), default=None)
+    return RobertsReport(shape, t + 1, records, witness is None, witness)
 
 
 @dataclass(frozen=True)

@@ -64,20 +64,22 @@ def enumerate_box(shape: GrassmannShape, degree: int) -> tuple[Partition, ...]:
     """
     if degree < 0 or degree > shape.dim:
         return ()
+    return tuple(_box_partitions(degree, shape.cols, shape.d))
 
-    def gen(remaining: int, max_part: int, slots: int):
-        if remaining == 0:
-            yield ()
-            return
-        if slots == 0 or max_part == 0:
-            return
-        # smallest admissible first part: ceil(remaining / slots)
-        lo = -(-remaining // slots)
-        for first in range(min(max_part, remaining), lo - 1, -1):
-            for rest in gen(remaining - first, first, slots - 1):
-                yield (first,) + rest
 
-    return tuple(gen(degree, shape.cols, shape.d))
+def _box_partitions(remaining: int, max_part: int, slots: int):
+    """Partitions of `remaining` into at most `slots` parts of at most
+    `max_part` each, largest first part first."""
+    if remaining == 0:
+        yield ()
+        return
+    if slots == 0 or max_part == 0:
+        return
+    # smallest admissible first part: ceil(remaining / slots)
+    lo = -(-remaining // slots)
+    for first in range(min(max_part, remaining), lo - 1, -1):
+        for rest in _box_partitions(remaining - first, first, slots - 1):
+            yield (first,) + rest
 
 
 def conjugate(lam: Partition) -> Partition:

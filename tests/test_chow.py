@@ -13,6 +13,7 @@ import gc
 import io
 import re
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -43,8 +44,10 @@ from grasstodd import (
     unit,
     zero,
 )
+from grasstodd.bundles import chow_pipeline
 from grasstodd.chow import ENGINES, Engine, combine, ring, term_order
 from grasstodd.cli import print_class, ser_class
+from grasstodd.cone import tau_stream
 from oracles import (
     beta_power_sum,
     distinct_points,
@@ -418,30 +421,29 @@ def test_h_matrix_ranks():
     assert [hm.rank(i) for i in range(1, s.dim + 1)] == [1, 1, 2, 2, 1, 1]
 
 
-def test_lazy_echelons_match_eager_oracle():
+def test_lazy_echelons_match_eager_oracle(echelons_built):
     for n in range(2, 11):
         for d in range(1, n):
             s = GrassmannShape(d, n)
             bases = [enumerate_box(s, i) for i in range(s.dim + 1)]
             eager = eager_h_echelons(bases, d, n - d)
-            hm = Engine(s).hmats
+            eng = Engine(s)
             # top degree first: no degree may depend on another being built
             for i in range(s.dim, 0, -1):
-                assert hm.echelon(i) == eager[i], (d, n, i)
-                assert hm.rank(i) == len(eager[i]), (d, n, i)
-            assert hm.built == tuple(range(1, s.dim + 1))
+                assert eng.echelon(i) == eager[i], (d, n, i)
+                assert eng.rank(i) == len(eager[i]), (d, n, i)
+            assert [i for shape, i in echelons_built if shape == s] == list(range(s.dim, 0, -1))
 
 
-def test_echelon_degree_range_and_built_is_read_only():
-    hm = Engine(GrassmannShape(2, 5)).hmats
-    assert hm.built == ()
+def test_echelon_degree_range_builds_only_the_degree_read(echelons_built):
+    s = GrassmannShape(2, 5)
+    eng = Engine(s)
     for bad in (0, 7):
         with pytest.raises(ValueError):
-            hm.echelon(bad)
-    assert hm.rank(3) == 2
-    assert hm.built == (3,)
-    with pytest.raises(AttributeError):
-        hm.built = (1,)
+            eng.echelon(bad)
+    assert echelons_built == []
+    assert eng.rank(3) == 2
+    assert echelons_built == [(s, 3)]
 
 
 def test_reduce_mod_h_kills_h_multiples(rng):
@@ -499,7 +501,7 @@ def test_reduce_mod_h_matches_dense_elimination(rng):
     for s in (GrassmannShape(d, n) for n in range(2, 11) for d in range(1, n)):
         bases = [enumerate_box(s, i) for i in range(s.dim + 1)]
         echelons = eager_h_echelons(bases, s.d, s.cols)
-        hm = Engine(s).hmats
+        hm = Engine(s)
         full = ChowElement(s, {lam: Fraction(k + 1, k + 2)
                                for basis in bases for k, lam in enumerate(basis)})
         for a in [random_class(s, rng, terms=6) for _ in range(3)] + [full]:
@@ -511,13 +513,13 @@ def test_reduce_mod_h_matches_dense_elimination(rng):
                 assert hm.quotient_dim(j) == len(bases[j]) - len(echelons[j])
 
 
-def test_degree_one_quotient_needs_no_echelon():
+def test_degree_one_quotient_needs_no_echelon(echelons_built):
     for s in SMALL_SHAPES:
-        hm = Engine(s).hmats
-        assert hm.quotient_dim(1) == 0
-        assert reduce_mod_h(sigma(s, 1), hm) == (zero(s), True)
-        assert hm.built == ()
-        assert hm.quotient_dim(0) == 1 and hm.quotient_dim(s.dim + 1) == 0
+        eng = Engine(s)
+        assert eng.quotient_dim(1) == 0
+        assert reduce_mod_h(sigma(s, 1), eng) == (zero(s), True)
+        assert echelons_built == []
+        assert eng.quotient_dim(0) == 1 and eng.quotient_dim(s.dim + 1) == 0
 
 
 def test_power_sum_is_the_product_with_p_j():
@@ -592,9 +594,57 @@ def test_clear_frees_what_the_engines_held():
         fill()
         held = tracemalloc.get_traced_memory()[0] - base
         ENGINES.clear()
-        gc.collect()  # the pipelines' reference cycles
+        # nothing is cyclic; a full collection also empties CPython's free
+        # lists, about 80 KB that tracemalloc still counts
+        gc.collect()
         left = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
     assert held > 250_000, held
     assert left < held // 50, (held, left)
+
+
+FILL_SHAPES = [GrassmannShape(2, 6), GrassmannShape(3, 7), GrassmannShape(4, 8)]
+
+
+def test_dropped_engines_free_without_the_collector():
+    def fill() -> list:
+        # weak references to each shape's engine, tau stream and Chow pipeline
+        refs = []
+        for s in FILL_SHAPES:
+            tau_components(s)
+            todd_tangent(s)
+            chern_tangent(s)
+            multiply(schubert(s, (2, 1)), schubert(s, (2, 1)))
+            refs += map(weakref.ref, (ring(s), tau_stream(s), chow_pipeline(s)))
+        return refs
+
+    gc.disable()
+    try:
+        ENGINES.clear()
+        refs = fill()
+        assert all(r() is not None for r in refs)
+        ENGINES.clear()
+        assert all(r() is None for r in refs)
+        refs = fill()
+        for n in range(2, 2 + ENGINES.bound):  # as many new shapes as the bound
+            ring(GrassmannShape(1, n))
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
+        ENGINES.clear()
+
+
+def test_queries_leave_no_cyclic_garbage():
+    gc.disable()
+    try:
+        ENGINES.clear()  # cold memos, so every kernel runs
+        gc.collect()
+        for s in FILL_SHAPES:
+            tau_components(s)
+            todd_tangent(s)
+        s = FILL_SHAPES[-1]
+        multiply(schubert(s, (2, 1)), schubert(s, (2, 1)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -70,17 +70,19 @@ def test_cone_chow_dims_match_eager_ranks():
             assert cone_chow_dims(s).dims == tuple(want), (d, n)
 
 
-def test_verdict_mode_builds_only_the_echelons_it_reads():
+def test_verdict_mode_builds_only_the_echelons_it_reads(echelons_built):
     ENGINES.clear()
-    report = roberts_verdict(GrassmannShape(4, 9), mode="verdict")
+    s = GrassmannShape(4, 9)
+    report = roberts_verdict(s, mode="verdict")
     assert report.witness == 2
-    assert build_h_matrices(GrassmannShape(4, 9)).built == (2,)
-    report = roberts_verdict(GrassmannShape(4, 8), mode="verdict")
+    assert echelons_built == [(s, 2)]
+    s = GrassmannShape(4, 8)
+    report = roberts_verdict(s, mode="verdict")
     assert report.witness == 4
-    assert build_h_matrices(GrassmannShape(4, 8)).built == (2, 4)
+    assert echelons_built[1:] == [(s, 2), (s, 4)]
 
 
-def test_tau_stream_matches_eager_oracle():
+def test_tau_stream_matches_eager_oracle(todd_work):
     # the slow path: the whole Todd class, then every degree reduced
     for n in range(2, 11):
         for d in range(1, n):
@@ -94,14 +96,14 @@ def test_tau_stream_matches_eager_oracle():
                 assert rec.representative.terms == want[j], (d, n, j)
                 assert rec.is_zero == (not want[j])
             # Todd work only where the quotient is nonzero
-            nonzero = {j for j in range(1, s.dim + 1) if stream.hmats.quotient_dim(j)}
-            assert set(stream.todd_degrees) <= nonzero, (d, n)
+            nonzero = {j for j in range(1, s.dim + 1) if stream.engine.quotient_dim(j)}
+            assert {k for pipe, k in todd_work if pipe is stream} <= nonzero, (d, n)
             assert tau_components(s).records == tuple(stream.record(j) for j in range(1, s.dim + 1))
             for rec in roberts_verdict(s, mode="verdict").records:
                 assert rec.representative.terms == want[rec.degree], (d, n, rec.degree)
 
 
-def test_verdict_on_projective_spaces_needs_only_rank_certificates(monkeypatch):
+def test_verdict_on_projective_spaces_needs_only_rank_certificates(monkeypatch, echelons_built):
     calls = []
 
     def spy(owner, name, seen=lambda *args: True):
@@ -127,7 +129,8 @@ def test_verdict_on_projective_spaces_needs_only_rank_certificates(monkeypatch):
             report = roberts_verdict(s, mode="verdict")
             assert report.verdict and all(r.is_zero for r in report.records)
             # every degree but the first certified by a 1x1 rank, degree 1 by enumeration
-            assert build_h_matrices(s).built == tuple(range(2, s.dim + 1))
+            built = [i for shape, i in echelons_built if shape == s]
+            assert sorted(built) == list(range(2, s.dim + 1))
     assert calls == []
     # positive control: the same spies see the Todd work of G(2,4); there
     # n = 2d, so T_2 = 2 p_1^2 needs no longer power sum, which G(2,5) does
@@ -138,14 +141,15 @@ def test_verdict_on_projective_spaces_needs_only_rank_certificates(monkeypatch):
     assert "__init__" not in calls
 
 
-def test_todd_work_stops_at_top_nonzero_quotient_degree():
+def test_todd_work_stops_at_top_nonzero_quotient_degree(todd_work):
     # J = 2 for G(2,4) and J = 3 for G(3,6)
     for (d, n), dims in [((2, 4), (0, 1, 0, 0)), ((3, 6), (0, 1, 1) + (0,) * 6)]:
         s = GrassmannShape(d, n)
         stream = TauStream(s)
-        assert tuple(stream.hmats.quotient_dim(j) for j in range(1, s.dim + 1)) == dims
+        assert tuple(stream.engine.quotient_dim(j) for j in range(1, s.dim + 1)) == dims
         assert all(stream.record(j).is_zero for j in range(1, s.dim + 1))
-        assert stream.todd_degrees == tuple(j for j, q in enumerate(dims, start=1) if q)
+        worked = sorted(k for pipe, k in todd_work if pipe is stream)
+        assert worked == [j for j, q in enumerate(dims, start=1) if q]
 
 
 def test_tau_records_carry_both_indexings():
