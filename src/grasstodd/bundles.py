@@ -237,39 +237,39 @@ def _cap(shape: GrassmannShape, max_degree: int | None) -> int:
     return shape.dim if max_degree is None else min(max_degree, shape.dim)
 
 
-def _character(shape: GrassmannShape, rank: int, piece, max_degree) -> BundleClass:
+def _bundle_class(shape: GrassmannShape, rank: int, piece, max_degree) -> BundleClass:
     return BundleClass(shape, rank, tuple(piece(m) for m in range(_cap(shape, max_degree) + 1)))
 
 
 def chern_Q(shape: GrassmannShape) -> BundleClass:
     """Chern classes of the rank-(n-d) quotient bundle: c_m = sigma_m."""
-    return _character(shape, shape.cols, partial(sigma, shape), shape.cols)
+    return _bundle_class(shape, shape.cols, partial(sigma, shape), shape.cols)
 
 
 def ch_Q(shape: GrassmannShape, max_degree: int | None = None) -> BundleClass:
     """Chern character of Q: m! ch_m(Q) = (-1)^(m+1) p_m, by the Murnaghan-Nakayama step."""
-    return _character(shape, shape.cols, chow_pipeline(shape).ch_q, max_degree)
+    return _bundle_class(shape, shape.cols, chow_pipeline(shape).ch_q, max_degree)
 
 
 def ch_S(shape: GrassmannShape, max_degree: int | None = None) -> BundleClass:
-    """Chern character of the subbundle: ch(S) = n - ch(Q) by additivity."""
-    return _character(shape, shape.d, chow_pipeline(shape).ch_s, max_degree)
+    """Chern character of S: m! ch_m(S) = (-1)^m p_m, by the Murnaghan-Nakayama step."""
+    return _bundle_class(shape, shape.d, chow_pipeline(shape).ch_s, max_degree)
 
 
 def ch_S_dual(shape: GrassmannShape, max_degree: int | None = None) -> BundleClass:
-    """Chern character of S*: degree-m component picks up (-1)^m."""
-    return _character(shape, shape.d, chow_pipeline(shape).ch_s_dual, max_degree)
+    """Chern character of S*: m! ch_m(S*) = p_m, by the Murnaghan-Nakayama step."""
+    return _bundle_class(shape, shape.d, chow_pipeline(shape).ch_s_dual, max_degree)
 
 
 def ch_tangent(shape: GrassmannShape, max_degree: int | None = None) -> BundleClass:
     """Chern character of the tangent bundle: ch(T) = ch(S*) ch(Q), each m! ch_m(T)
     the pipeline's operator T_m applied to the unit."""
-    return _character(shape, shape.dim, chow_pipeline(shape).ch_tangent, max_degree)
+    return _bundle_class(shape, shape.dim, chow_pipeline(shape).ch_tangent, max_degree)
 
 
 def chern_tangent(shape: GrassmannShape, max_degree: int | None = None) -> BundleClass:
     """Chern classes of the tangent bundle, recovered from its character."""
-    return _character(shape, shape.dim, chow_pipeline(shape).chern, max_degree)
+    return _bundle_class(shape, shape.dim, chow_pipeline(shape).chern, max_degree)
 
 
 def todd_tangent(shape: GrassmannShape, max_degree: int | None = None) -> ChowElement:

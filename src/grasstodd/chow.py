@@ -8,7 +8,9 @@ a power sum of the Chern roots of S* is the Murnaghan-Nakayama rule; the
 tangent-bundle pipeline (`bundles.TangentPipeline`) builds the action of
 every Chern character of the tangent bundle from it.
 Reduction modulo the hyperplane class h = sigma_1 is exact linear algebra
-over the integers.
+over the integers on sparse rows: the columns of h are Murnaghan-Nakayama
+steps, echelon rows {position: int} dicts, and normal forms
+{partition: int} dicts that one routine applies (`Engine.reduce`).
 
 Everything kept for a shape lives on its `Engine`: graded bases, kernel
 memos, h-echelons, and the objects that higher layers keep there (the
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
-from math import gcd
+from math import gcd, lcm
 from operator import neg
 
 from .partitions import GrassmannShape, Partition, enumerate_box, fits_box, normalize_partition
@@ -185,12 +187,12 @@ class Engine:
     degrees to its own memo.
 
     For degree i in 1..dim, h sends the degree-(i-1) basis into the
-    degree-i one; each source partition gives a 0/1 column. `echelon(i)` is
-    a reduced integer row basis of the column space, stored as (pivot
-    position, vector) pairs with a positive pivot entry, computed when first
-    asked for and kept; `rank(i)` is its length. `quotient_dim(i)` and
-    `normal_forms(i)` give the degree-i piece of the quotient A/(h), read
-    off the same echelons.
+    degree-i one. `echelon(i)` is the reduced row echelon form of its image,
+    built on first use and kept: (pivot, row) pairs in pivot order, each row
+    a primitive {position in basis(i): int} dict with sorted positions and a
+    positive pivot entry. `rank(i)` is its length. `quotient_dim(i)` and
+    `normal_forms(i)` give the degree-i piece of A/(h), read off the same
+    echelons, and `reduce` applies the normal forms to an integer piece.
     """
 
     def __init__(self, shape: GrassmannShape):
@@ -311,16 +313,25 @@ class Engine:
             if self.quotient_dim(degree) == 0:
                 hit = {lam: ({}, 1) for lam in basis}
             else:
-                rows = self.echelon(degree) if degree else ()
-                pivots = {piv for piv, _ in rows}
-                hit = {lam: ({lam: 1}, 1) for k, lam in enumerate(basis) if k not in pivots}
-                for piv, row in rows:
-                    hit[basis[piv]] = (
-                        {basis[k]: -a for k, a in enumerate(row) if a and k not in pivots},
-                        row[piv],
-                    )
+                hit = {lam: ({lam: 1}, 1) for lam in basis}
+                for piv, row in self.echelon(degree) if degree else ():
+                    hit[basis[piv]] = ({basis[k]: -a for k, a in row.items() if k != piv}, row[piv])
             self._forms[degree] = hit
         return hit
+
+    def reduce(self, degree: int, terms: dict, den: int) -> tuple:
+        """The integer piece terms / den of `degree` reduced mod h, over den
+        times the lcm of the rows' denominators; cancelled terms stay as
+        zeros. The one place where `normal_forms` are applied."""
+        forms = self.normal_forms(degree)
+        m = lcm(*(forms[lam][1] for lam in terms))
+        out: dict = {}
+        for lam, c in terms.items():
+            row, row_den = forms[lam]
+            c *= m // row_den
+            for mu, f in row.items():
+                out[mu] = out.get(mu, 0) + c * f
+        return out, den * m
 
 
 def _lr_terms(lam: Partition, mu: Partition, rows: int, cols: int) -> dict:
@@ -455,50 +466,52 @@ def _inside(lam: Partition, nu: Partition) -> bool:
     return len(lam) <= len(nu) and all(p <= q for p, q in zip(lam, nu))
 
 
-def _integer_rref(vectors: list) -> list:
-    """Reduced echelon form over the integers; returns (pivot, row) pairs."""
-    echelon: list = []
-    for vec in vectors:
-        row = list(vec)
-        for piv, base in echelon:
-            if row[piv]:
-                f, g = base[piv], row[piv]
-                row = [a * f - b * g for a, b in zip(row, base)]
-        piv = next((j for j, a in enumerate(row) if a), None)
-        if piv is None:
-            continue
-        g = gcd(*row)
-        if row[piv] < 0:
-            g = -g
-        row = [a // g for a in row]
-        # back-substitute to keep stored rows reduced at the new pivot
-        updated = []
-        for pc, base in echelon:
-            if base[piv]:
-                f, g2 = row[piv], base[piv]
-                base = [a * f - b * g2 for a, b in zip(base, row)]
-                norm = gcd(*base)
-                if base[pc] < 0:
-                    norm = -norm
-                base = [a // norm for a in base]
-            updated.append((pc, base))
-        echelon = updated
-        echelon.append((piv, row))
-        echelon.sort()
-    return echelon
-
-
 def _h_echelon(engine: Engine, degree: int) -> tuple:
-    """Echelon form of the image of h from degree - 1 into degree."""
-    target = engine.basis(degree)
-    index = {lam: k for k, lam in enumerate(target)}
-    columns = []
+    """Reduced echelon form of the image of h from degree - 1 into degree,
+    as sparse (pivot, {position: int}) rows in pivot order.
+
+    Each column `power_sum(lam, 1)` is eliminated at its leftmost entry
+    against the stored row with that pivot until that entry is a new pivot,
+    then stored primitive. One back-substitution, from the largest pivot
+    down, then clears every other pivot position.
+    """
+    index = {lam: k for k, lam in enumerate(engine.basis(degree))}
+    rows: dict = {}  # pivot -> row
     for lam in engine.basis(degree - 1):
-        col = [0] * len(target)
-        for mu, c in engine.power_sum(lam, 1).items():
-            col[index[mu]] = c
-        columns.append(col)
-    return tuple((piv, tuple(row)) for piv, row in _integer_rref(columns))
+        row = {index[mu]: c for mu, c in engine.power_sum(lam, 1).items()}
+        while row:
+            piv = min(row)
+            if piv not in rows:
+                rows[piv] = _primitive(row, piv)
+                break
+            row = _eliminate(row, rows[piv], piv)
+    # larger pivots' rows are reduced: eliminating one adds no pivot position
+    for piv in sorted(rows, reverse=True):
+        row = rows[piv]
+        for q in [q for q in row if q != piv and q in rows]:
+            row = _eliminate(row, rows[q], q)
+        rows[piv] = _primitive(row, piv)
+    return tuple((piv, rows[piv]) for piv in sorted(rows))
+
+
+def _eliminate(row: dict, base: dict, q: int) -> dict:
+    """f row - g base for the coprime integers f, g that make it zero at
+    position q."""
+    f, g = base[q], row[q]
+    h = gcd(f, g)
+    f, g = f // h, g // h
+    out = {k: f * a for k, a in row.items()}
+    for k, b in base.items():
+        out[k] = out.get(k, 0) - g * b
+    return {k: a for k, a in out.items() if a}
+
+
+def _primitive(row: dict, piv: int) -> dict:
+    """row over the gcd of its entries, positive at piv, positions sorted."""
+    g = gcd(*row.values())
+    if row[piv] < 0:
+        g = -g
+    return {k: row[k] // g for k in sorted(row)}
 
 
 def build_h_matrices(shape: GrassmannShape) -> Engine:
@@ -513,8 +526,8 @@ def reduce_mod_h(a: ChowElement, eng: Engine) -> tuple[ChowElement, bool]:
 
     The representative is the unique element of the class with no pivot
     partition of the echelon basis in its support (`normal_forms`); the
-    flag is True exactly when it vanishes. Each term is reduced against
-    its integer row on its own, c / den times the row's integers.
+    flag is True exactly when it vanishes. The coefficients are put over
+    one denominator and reduced as an integer piece (`Engine.reduce`).
     """
     _check_shapes(a, eng)
     if a.is_zero():
@@ -522,12 +535,7 @@ def reduce_mod_h(a: ChowElement, eng: Engine) -> tuple[ChowElement, bool]:
     degree = a.homogeneous_degree()
     if degree < 1:
         raise NonHomogeneousError("reduction needs degree at least 1")
-    forms = eng.normal_forms(degree)
-    rep = combine(a.shape, (
-        (mu, q * f)
-        for lam, c in a.terms.items()
-        for row, den in (forms[lam],)
-        for q in (c if den == 1 else c / den,)
-        for mu, f in row.items()
-    ))
+    den = lcm(*(c.denominator for c in a.terms.values()))
+    terms, den = eng.reduce(degree, {lam: int(c * den) for lam, c in a.terms.items()}, den)
+    rep = ChowElement(a.shape, {mu: Fraction(c, den) for mu, c in terms.items() if c})
     return rep, rep.is_zero()

@@ -19,7 +19,6 @@ from the same engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .bundles import TangentPipeline
 from .chow import ChowElement, engine
@@ -71,18 +70,8 @@ class TauStream(TangentPipeline):
     def vanishes(self, k: int) -> bool:
         return self.engine.quotient_dim(k) == 0
 
-    def reduce(self, degree: int, terms: dict, den: int) -> tuple:
-        """The integer piece terms / den of `degree` reduced mod h, against
-        the integer rows of `normal_forms` over their common denominator."""
-        forms = self.engine.normal_forms(degree)
-        m = lcm(*(forms[lam][1] for lam in terms))
-        out: dict = {}
-        for lam, c in terms.items():
-            row, row_den = forms[lam]
-            c *= m // row_den
-            for mu, f in row.items():
-                out[mu] = out.get(mu, 0) + c * f
-        return out, den * m
+    def reduce(self, k: int, terms: dict, den: int) -> tuple:
+        return self.engine.reduce(k, terms, den)
 
     def record(self, j: int) -> TauRecord:
         rep = self.todd(j)

@@ -53,6 +53,7 @@ from oracles import (
     distinct_points,
     eager_h_echelons,
     eager_tau,
+    gaussian_binomial,
     giambelli_expand,
     giambelli_pieri_product,
     horizontal_strip,
@@ -422,17 +423,33 @@ def test_h_matrix_ranks():
 
 
 def test_lazy_echelons_match_eager_oracle(echelons_built):
-    for n in range(2, 11):
+    shapes = [GrassmannShape(d, n) for n in range(2, 11) for d in range(1, n)]
+    for s in shapes + [GrassmannShape(6, 12)]:
+        bases = [enumerate_box(s, i) for i in range(s.dim + 1)]
+        eager = eager_h_echelons(bases, s.d, s.cols)
+        eng = Engine(s)
+        # top degree first: no degree may depend on another being built
+        for i in range(s.dim, 0, -1):
+            rows = eng.echelon(i)
+            # sparse rows list their positions in increasing order
+            assert all(list(row) == sorted(row) for _, row in rows), (s, i)
+            dense = tuple((piv, tuple(row.get(k, 0) for k in range(len(bases[i]))))
+                          for piv, row in rows)
+            assert dense == eager[i], (s, i)
+            assert eng.rank(i) == len(eager[i]), (s, i)
+        assert [i for shape, i in echelons_built if shape == s] == list(range(s.dim, 0, -1))
+
+
+def test_quotient_dims_match_hard_lefschetz():
+    # h has full rank in every degree (Stanley 1980), so the quotient has
+    # dimension max(0, |A^k| - |A^(k-1)|), with |A^k| the q^k coefficient
+    # of the Gaussian binomial [n choose d]_q
+    for n in range(2, 13):
         for d in range(1, n):
-            s = GrassmannShape(d, n)
-            bases = [enumerate_box(s, i) for i in range(s.dim + 1)]
-            eager = eager_h_echelons(bases, d, n - d)
-            eng = Engine(s)
-            # top degree first: no degree may depend on another being built
-            for i in range(s.dim, 0, -1):
-                assert eng.echelon(i) == eager[i], (d, n, i)
-                assert eng.rank(i) == len(eager[i]), (d, n, i)
-            assert [i for shape, i in echelons_built if shape == s] == list(range(s.dim, 0, -1))
+            sizes = gaussian_binomial(n, d)
+            eng = Engine(GrassmannShape(d, n))
+            for k in range(1, len(sizes)):
+                assert eng.quotient_dim(k) == max(0, sizes[k] - sizes[k - 1]), (d, n, k)
 
 
 def test_echelon_degree_range_builds_only_the_degree_read(echelons_built):
