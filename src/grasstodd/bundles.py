@@ -188,7 +188,7 @@ class TangentPipeline:
 
     def _recurrence(self, k: int, name: str, weight) -> tuple:
         """The unreduced integer piece y_k; w_j is tested before `vanishes(j)`,
-        which may build an echelon form.
+        which may build an h-table.
 
         Over M = lcm of den(w_j) D_(k-j), where D is the denominator of
         y_(k-j), y_k = (1 / kM) sum_j num(w_j) (M / den(w_j) D_(k-j)) T_j N_(k-j)

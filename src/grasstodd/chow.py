@@ -9,14 +9,16 @@ tangent-bundle pipeline (`bundles.TangentPipeline`) builds the action of
 every Chern character of the tangent bundle from it.
 Reduction modulo the hyperplane class h = sigma_1 is exact linear algebra
 over the integers on sparse rows: the columns of h are Murnaghan-Nakayama
-steps, echelon rows {position: int} dicts, and normal forms
-{partition: int} dicts that one routine applies (`Engine.reduce`).
+steps, eliminated to {position: int} echelon rows that are turned at once
+into one table per degree of {partition: int} normal forms, which one
+routine applies (`Engine.reduce`). `reduce_mod_h(a)` is the way in for a
+class.
 
 Everything kept for a shape lives on its `Engine`: graded bases, kernel
-memos, h-echelons, and the objects that higher layers keep there (the
-tangent pipelines, the tau stream, rendered command-line rows). Engines are
-served by one registry, `ENGINES`, which holds at most a fixed number of
-shapes and drops them all on `ENGINES.clear()`.
+memos, the normal-form tables of A/(h), and the objects that higher layers
+keep there (the tangent pipelines, the tau stream, rendered command-line
+rows). Engines are served by one registry, `ENGINES`, which holds at most a
+fixed number of shapes and drops them all on `ENGINES.clear()`.
 """
 
 from __future__ import annotations
@@ -177,22 +179,21 @@ class Engine:
 
     It holds the graded bases (`basis`), the memoised integer kernels: the
     Murnaghan-Nakayama step (`power_sum`) and basis products by the
-    Littlewood-Richardson rule (`pair_product`), multiplication by
-    h = sigma_1 (`echelon`, `rank`, `quotient_dim`, `normal_forms`), and
-    the per-shape objects of the higher layers, each built once under its
-    key (`kept`): the tangent pipelines and the rendered rows of the
-    command line. Engines are served by the bounded registry `ENGINES`.
+    Littlewood-Richardson rule (`pair_product`), the quotient A/(h) by
+    h = sigma_1 (`quotient_dim`, `normal_forms`), and the per-shape objects
+    of the higher layers, each built once under its key (`kept`): the
+    tangent pipelines and the rendered rows of the command line. Engines
+    are served by the bounded registry `ENGINES`.
 
     Memo values are never mutated once stored; a kept pipeline only adds
     degrees to its own memo.
 
     For degree i in 1..dim, h sends the degree-(i-1) basis into the
-    degree-i one. `echelon(i)` is the reduced row echelon form of its image,
-    built on first use and kept: (pivot, row) pairs in pivot order, each row
-    a primitive {position in basis(i): int} dict with sorted positions and a
-    positive pivot entry. `rank(i)` is its length. `quotient_dim(i)` and
-    `normal_forms(i)` give the degree-i piece of A/(h), read off the same
-    echelons, and `reduce` applies the normal forms to an integer piece.
+    degree-i one. The degree-i piece of A/(h) is one table, built from the
+    reduced echelon form of that image on first use and kept: the normal
+    form of every basis partition (`normal_forms(i)`) and the quotient
+    dimension (`quotient_dim(i)`). `reduce` applies the normal forms to an
+    integer piece.
     """
 
     def __init__(self, shape: GrassmannShape):
@@ -201,8 +202,7 @@ class Engine:
         self._power: dict = {}  # j -> {lam: power_sum(lam, j)}
         self._parts: dict = {}  # one tuple per partition the MN step returns
         self._pair: dict = {}
-        self._echelons: dict = {}
-        self._forms: dict = {}
+        self._tables: dict = {}  # degree -> (normal forms, quotient dimension)
         self._kept: dict = {}
 
     def basis(self, degree: int) -> tuple:
@@ -272,22 +272,18 @@ class Engine:
             self._pair[key] = hit
         return hit
 
-    def echelon(self, degree: int) -> tuple:
-        hit = self._echelons.get(degree)
+    def _table(self, degree: int) -> tuple:
+        hit = self._tables.get(degree)
         if hit is None:
             if not 1 <= degree <= self.shape.dim:
                 raise ValueError(f"degree must lie in [1, {self.shape.dim}]")
-            hit = _h_echelon(self, degree)
-            self._echelons[degree] = hit
+            hit = self._tables[degree] = _h_table(self, degree)
         return hit
-
-    def rank(self, degree: int) -> int:
-        return len(self.echelon(degree))
 
     def quotient_dim(self, degree: int) -> int:
         """Dimension of the degree piece of A/(h); zero outside 0..dim.
 
-        Degree 1 needs no echelon form: when enumeration shows its basis is
+        Degree 1 needs no table: when enumeration shows its basis is
         exactly [(1,)] = h * 1, the piece is zero.
         """
         if degree == 0:
@@ -295,29 +291,20 @@ class Engine:
         basis = self.basis(degree)
         if not basis or (degree == 1 and basis == ((1,),)):
             return 0
-        return len(basis) - self.rank(degree)
+        return self._table(degree)[1]
 
     def normal_forms(self, degree: int) -> dict:
-        """Canonical representative mod h of every degree basis partition,
-        as an integer row over one positive denominator.
+        """Canonical representative mod h of every basis partition of a
+        degree in [1, dim], as an integer row over one positive denominator.
 
         Maps each partition to a ({partition: int}, den) pair on the
-        non-pivot partitions: a non-pivot one maps to ({itself: 1}, 1), the
-        pivot of an echelon row to minus the rest of that row over its
-        pivot entry. The row is primitive, so that pair is in lowest terms.
-        A degree with zero quotient maps everything to ({}, 1).
+        non-pivot partitions of the echelon form: a non-pivot one maps to
+        ({itself: 1}, 1), the pivot of an echelon row to minus the rest of
+        that row over its pivot entry. The row is primitive, so that pair is
+        in lowest terms. A degree with zero quotient has only rows {pivot: 1}
+        and maps everything to ({}, 1).
         """
-        hit = self._forms.get(degree)
-        if hit is None:
-            basis = self.basis(degree)
-            if self.quotient_dim(degree) == 0:
-                hit = {lam: ({}, 1) for lam in basis}
-            else:
-                hit = {lam: ({lam: 1}, 1) for lam in basis}
-                for piv, row in self.echelon(degree) if degree else ():
-                    hit[basis[piv]] = ({basis[k]: -a for k, a in row.items() if k != piv}, row[piv])
-            self._forms[degree] = hit
-        return hit
+        return self._table(degree)[0]
 
     def reduce(self, degree: int, terms: dict, den: int) -> tuple:
         """The integer piece terms / den of `degree` reduced mod h, over den
@@ -423,7 +410,9 @@ def engine(shape: GrassmannShape) -> Engine:
     return ENGINES.get(shape)
 
 
-ring = engine  # the same lookup, under the name the tests and benchmarks/child.py read
+# The same lookup under older names: benchmarks/child.py reads both by name
+# in every traced run, and the tests read `ring`.
+ring = build_h_matrices = engine
 
 
 def pieri(a: ChowElement, m: int) -> ChowElement:
@@ -466,16 +455,19 @@ def _inside(lam: Partition, nu: Partition) -> bool:
     return len(lam) <= len(nu) and all(p <= q for p, q in zip(lam, nu))
 
 
-def _h_echelon(engine: Engine, degree: int) -> tuple:
-    """Reduced echelon form of the image of h from degree - 1 into degree,
-    as sparse (pivot, {position: int}) rows in pivot order.
+def _h_table(engine: Engine, degree: int) -> tuple:
+    """The degree's piece of A/(h) as (`Engine.normal_forms`, quotient
+    dimension), read off the reduced echelon form of the image of h from
+    degree - 1 into degree, built on sparse {position: int} rows that are
+    dropped once read.
 
     Each column `power_sum(lam, 1)` is eliminated at its leftmost entry
     against the stored row with that pivot until that entry is a new pivot,
     then stored primitive. One back-substitution, from the largest pivot
     down, then clears every other pivot position.
     """
-    index = {lam: k for k, lam in enumerate(engine.basis(degree))}
+    basis = engine.basis(degree)
+    index = {lam: k for k, lam in enumerate(basis)}
     rows: dict = {}  # pivot -> row
     for lam in engine.basis(degree - 1):
         row = {index[mu]: c for mu, c in engine.power_sum(lam, 1).items()}
@@ -491,7 +483,10 @@ def _h_echelon(engine: Engine, degree: int) -> tuple:
         for q in [q for q in row if q != piv and q in rows]:
             row = _eliminate(row, rows[q], q)
         rows[piv] = _primitive(row, piv)
-    return tuple((piv, rows[piv]) for piv in sorted(rows))
+    forms = {lam: ({lam: 1}, 1) for lam in basis}
+    for piv, row in rows.items():
+        forms[basis[piv]] = ({basis[k]: -a for k, a in row.items() if k != piv}, row[piv])
+    return forms, len(basis) - len(rows)
 
 
 def _eliminate(row: dict, base: dict, q: int) -> dict:
@@ -507,34 +502,32 @@ def _eliminate(row: dict, base: dict, q: int) -> dict:
 
 
 def _primitive(row: dict, piv: int) -> dict:
-    """row over the gcd of its entries, positive at piv, positions sorted."""
+    """row over the gcd of its entries, positive at piv."""
     g = gcd(*row.values())
     if row[piv] < 0:
         g = -g
-    return {k: row[k] // g for k in sorted(row)}
+    return {k: a // g for k, a in row.items()}
 
 
-def build_h_matrices(shape: GrassmannShape) -> Engine:
-    """The shape's engine, which holds its multiplication-by-h data; echelon
-    forms come lazily."""
-    return engine(shape)
-
-
-def reduce_mod_h(a: ChowElement, eng: Engine) -> tuple[ChowElement, bool]:
+def reduce_mod_h(a: ChowElement) -> tuple[ChowElement, bool]:
     """Canonical representative of a homogeneous class modulo h times the
     previous graded piece, plus a membership flag.
 
     The representative is the unique element of the class with no pivot
-    partition of the echelon basis in its support (`normal_forms`); the
-    flag is True exactly when it vanishes. The coefficients are put over
-    one denominator and reduced as an integer piece (`Engine.reduce`).
+    partition of the echelon basis in its support (`Engine.normal_forms` of
+    the class's shape); the flag is True exactly when it vanishes. A degree
+    with zero quotient gives zero at once. Otherwise the coefficients are
+    put over one denominator and reduced as an integer piece
+    (`Engine.reduce`).
     """
-    _check_shapes(a, eng)
     if a.is_zero():
         return a, True
     degree = a.homogeneous_degree()
     if degree < 1:
         raise NonHomogeneousError("reduction needs degree at least 1")
+    eng = engine(a.shape)
+    if eng.quotient_dim(degree) == 0:
+        return zero(a.shape), True
     den = lcm(*(c.denominator for c in a.terms.values()))
     terms, den = eng.reduce(degree, {lam: int(c * den) for lam, c in a.terms.items()}, den)
     rep = ChowElement(a.shape, {mu: Fraction(c, den) for mu, c in terms.items() if c})

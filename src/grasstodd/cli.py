@@ -28,7 +28,6 @@ from .bundles import chow_pipeline
 from .chow import (
     ChowElement,
     NonHomogeneousError,
-    build_h_matrices,
     combine,
     engine,
     multiply,
@@ -258,7 +257,7 @@ def cmd_chow(args) -> int:
     # reduce
     element = parse_class(shape, args.cls)
     try:
-        rep, is_zero = reduce_mod_h(element, build_h_matrices(shape))
+        rep, is_zero = reduce_mod_h(element)
     except NonHomogeneousError as exc:
         raise UsageError(str(exc)) from None
     if args.json:

@@ -28,15 +28,16 @@ def rng(request) -> random.Random:
 
 @pytest.fixture
 def echelons_built(monkeypatch) -> list:
-    """(shape, degree) of every h-echelon form built while the test runs."""
+    """(shape, degree) of every h-table (`Engine.normal_forms` and
+    `quotient_dim`) built while the test runs."""
     built = []
-    build = chow_module._h_echelon
+    build = chow_module._h_table
 
     def spy(engine, degree):
         built.append((engine.shape, degree))
         return build(engine, degree)
 
-    monkeypatch.setattr(chow_module, "_h_echelon", spy)
+    monkeypatch.setattr(chow_module, "_h_table", spy)
     return built
 
 

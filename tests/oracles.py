@@ -279,6 +279,23 @@ def _primitive_rref(vectors: list) -> tuple:
     return tuple(out)
 
 
+def eager_normal_forms(bases: list, echelons: dict) -> dict:
+    """The echelon rows of `eager_h_echelons` as normal forms mod h, in the
+    form of `Engine.normal_forms`: {i: {partition: ({partition: int}, den)}}.
+
+    A non-pivot partition maps to ({itself: 1}, 1), a pivot partition to
+    minus the rest of its primitive row over the pivot entry.
+    """
+    out = {}
+    for i, rows in echelons.items():
+        forms = {lam: ({lam: 1}, 1) for lam in bases[i]}
+        for piv, row in rows:
+            rest = {bases[i][k]: -a for k, a in enumerate(row) if a and k != piv}
+            forms[bases[i][piv]] = (rest, row[piv])
+        out[i] = forms
+    return out
+
+
 def eager_tau(todd_terms: dict, bases: list, echelons: dict) -> dict:
     """Every graded piece of a Todd class reduced mod h, the slow way.
 

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import grasstodd.cli as cli_module
-from grasstodd import GrassmannShape, enumerate_box
-from grasstodd.cli import UsageError, main, parse_partition, parse_rational
+from grasstodd import GrassmannShape, enumerate_box, from_terms, reduce_mod_h
+from grasstodd.cli import UsageError, main, parse_partition, parse_rational, ser_class
 
 
 def run(capsys, *argv):
@@ -134,6 +134,22 @@ def test_chow_reduce_text(capsys):
     code, out, _ = run(capsys, "chow", "reduce", "2", "5", "--class", "[2]:1 [1,1]:1")
     assert code == 0
     assert "zero mod h: yes" in out
+
+
+def test_chow_reduce_json(capsys):
+    s = GrassmannShape(2, 5)
+    code, doc = run_json(capsys, "chow", "reduce", "2", "5", "--class", "[2]:1/2 [1,1]:-3", "--json")
+    assert code == 0
+    element = from_terms(s, {(2,): Fraction(1, 2), (1, 1): -3})
+    rep, _ = reduce_mod_h(element)
+    assert doc["parameters"] == {"d": 2, "n": 5, "class": ser_class(element)}
+    assert doc["result"] == {"representative": ser_class(rep), "is_zero": False}
+    assert doc["result"]["representative"] == [
+        {"partition": [1, 1], "coefficient": {"num": "-7", "den": "2"}}
+    ]
+    # degree 3 of G(2,5) has a zero quotient
+    _, doc = run_json(capsys, "chow", "reduce", "2", "5", "--class", "[3]:1 [2,1]:2", "--json")
+    assert doc["result"] == {"representative": [], "is_zero": True}
 
 
 def test_chow_reduce_rejects_mixed_degrees(capsys):
@@ -257,6 +273,20 @@ def test_pfaffian_eval_text(tmp_path, capsys):
     # pf = 2*13 - 3*11 + 5*7 = 28
     assert "Pf  = 28" in out
     assert "Pf^2 == det: yes" in out
+
+
+def test_pfaffian_eval_json(tmp_path, capsys):
+    f = tmp_path / "z.txt"
+    f.write_text("4\n0 1/2 3 5\n-1/2 0 7 11\n-3 -7 0 13\n-5 -11 -13 0\n")
+    code, doc = run_json(capsys, "pfaffian", "eval", str(f), "--json")
+    assert code == 0
+    assert doc["parameters"] == {"file": str(f), "size": 4}
+    # pf = 13/2 - 3*11 + 5*7 = 17/2
+    assert doc["result"] == {
+        "pfaffian": {"num": "17", "den": "2"},
+        "determinant": {"num": "289", "den": "4"},
+        "square_check": True,
+    }
 
 
 def test_pfaffian_eval_bad_file(tmp_path, capsys):
@@ -816,6 +846,8 @@ def test_closed_stdout_exits_141_without_a_traceback(argv, unbuffered, tmp_path)
     ["bundle", "2", "5", "--todd", "--chern"],   # two members of the group
     ["bundle", "2", "5", "--todd", "--max-degree"],
     ["bundle", "2", "5", "--ch", "--max-degree", "-1"],
+    ["bundle", "2", "5", "--todd", "--max-degree", "x"],  # a failed option conversion
+    ["chow", "basis", "2", "5", "--degree", "1.5"],
     ["pfaffian", "eval", "-"],
 ], ids=" ".join)
 def test_other_lines_are_left_to_argparse(argv):
