@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cache, partial, partialmethod
 from math import comb, factorial, gcd, lcm
 
-from .chow import ChowElement, combine, engine, sigma, zero
+from .chow import ChowElement, combine, engine, piece, sigma, zero
 from .partitions import GrassmannShape
 from .series import todd_log_coeff
 
@@ -64,23 +64,22 @@ class TangentPipeline:
     w_j = (-1)^(j-1) for the Chern classes (Newton's identities).
 
     Each sequence (`todd`, `chern`, `ch_tangent`, `ch_s_dual`, `ch_q`,
-    `ch_s`) maps a degree to its homogeneous `ChowElement`. Its pieces are
-    built by the method of the same name with a leading underscore, held as
-    integer graded pieces (a {partition: int} dict over one positive
-    denominator, with gcd 1) and kept in one memo under (sequence, degree).
-    A degree where `vanishes(k)` holds is zero in every sequence with no
-    work, and the recurrence skips the terms whose operator T_j lies in such
-    a degree; every piece of degree k >= 1 passes through `reduce`. Here
-    degrees above t vanish and `reduce` is the identity, and every Chern
-    piece must come out with denominator 1 (checked, raising
-    ArithmeticError otherwise); `cone.TauStream` overrides both to work in
-    A/(h).
+    `ch_s`) maps a degree to its homogeneous `ChowElement`, built once as
+    an integer piece (a {partition: int} dict over one denominator) by the
+    method of the same name with a leading underscore, and kept in one memo
+    under (that method's name, degree). A degree where `vanishes(k)` holds
+    is zero in every sequence with no work, and the recurrence skips the
+    terms whose operator T_j lies in such a degree; every piece of degree
+    k >= 1 passes through `reduce`. Here degrees above t vanish and `reduce`
+    is the identity, and every Chern piece must come out with denominator 1
+    (checked, raising ArithmeticError otherwise); `cone.TauStream` overrides
+    both to work in A/(h).
     """
 
     def __init__(self, shape: GrassmannShape):
         self.shape = shape
         self.engine = engine(shape)
-        self._memo: dict = {}  # (sequence, degree) -> (terms, den, ChowElement)
+        self._memo: dict = {}  # (method name, degree) -> ChowElement
 
     def vanishes(self, k: int) -> bool:
         return k > self.shape.dim
@@ -88,44 +87,39 @@ class TangentPipeline:
     def reduce(self, k: int, terms: dict, den: int) -> tuple:
         return terms, den
 
-    def _piece(self, name: str, k: int) -> tuple:
-        """The degree-k piece of sequence `name`, built once: its integer
-        terms and denominator, reduced when k >= 1 and in lowest terms, and
-        the `ChowElement` they stand for."""
+    def _element(self, name: str, k: int) -> ChowElement:
+        """The degree-k piece that method `name` builds, built once and
+        reduced when k >= 1."""
         hit = self._memo.get((name, k))
         if hit is None:
             terms, den = {}, 1
             if not self.vanishes(k):
-                terms, den = getattr(self, "_" + name)(k)
+                terms, den = getattr(self, name)(k)
                 if k:
                     terms, den = self.reduce(k, terms, den)
-                terms, den = _lowest(terms, den)
-            element = ChowElement(self.shape, {lam: Fraction(c, den) for lam, c in terms.items()})
-            hit = self._memo[name, k] = (terms, den, element)
+            hit = self._memo[name, k] = piece(self.shape, terms, den)
         return hit
 
-    def _element(self, name: str, k: int) -> ChowElement:
-        return self._piece(name, k)[2]
-
-    todd = partialmethod(_element, "todd")
-    chern = partialmethod(_element, "chern")
-    ch_tangent = partialmethod(_element, "ch_tangent")
-    ch_s_dual = partialmethod(_element, "ch_s_dual")
-    ch_q = partialmethod(_element, "ch_q")
-    ch_s = partialmethod(_element, "ch_s")
+    # each sequence names its builder, so no name string is built per piece
+    todd = partialmethod(_element, "_todd")
+    chern = partialmethod(_element, "_chern")
+    ch_tangent = partialmethod(_element, "_ch_tangent")
+    ch_s_dual = partialmethod(_element, "_ch_s_dual")
+    ch_q = partialmethod(_element, "_ch_q")
+    ch_s = partialmethod(_element, "_ch_s")
 
     def _todd(self, k: int) -> tuple:
         if k == 0:
             return _UNIT, 1
-        return self._recurrence(k, "todd", _todd_weight)
+        return self._recurrence(k, "_todd", _todd_weight)
 
     def _chern(self, k: int) -> tuple:
         if k == 0:
             return _UNIT, 1
-        terms, den = _lowest(*self._recurrence(k, "chern", _chern_weight))
+        terms, den = self._recurrence(k, "_chern", _chern_weight)
         # only the Chow ring's own classes must be integral
-        if den != 1 and type(self) is TangentPipeline:
-            raise ArithmeticError(f"Chern piece {k} of {self.shape} has denominator {den}")
+        if type(self) is TangentPipeline and (g := gcd(den, *terms.values())) != den:
+            raise ArithmeticError(f"Chern piece {k} of {self.shape} has denominator {den // g}")
         return terms, den
 
     def _ch_tangent(self, m: int) -> tuple:
@@ -198,9 +192,9 @@ class TangentPipeline:
         for j in range(1, k + 1):
             w = weight(j)
             if w and not self.vanishes(j):
-                terms, den, _ = self._piece(name, k - j)
-                if terms:
-                    parts.append((j, w, terms, den * w.denominator))
+                y = self._element(name, k - j)
+                if y.terms:
+                    parts.append((j, w, y.terms, y.den * w.denominator))
         m = lcm(*(scale for *_, scale in parts))
         out = self._tangent((j, w.numerator * (m // scale), terms) for j, w, terms, scale in parts)
         return out, k * m
@@ -213,16 +207,6 @@ def _todd_weight(j: int) -> Fraction:
 
 def _chern_weight(j: int) -> Fraction:
     return Fraction((-1) ** (j - 1))
-
-
-def _lowest(terms: dict, den: int) -> tuple:
-    """The integer piece terms / den in lowest terms: zero coefficients
-    dropped, den > 0 and gcd(den, every coefficient) = 1."""
-    terms = {lam: c for lam, c in terms.items() if c}
-    g = gcd(den, *terms.values())
-    if g != 1:
-        terms = {lam: c // g for lam, c in terms.items()}
-    return terms, den // g
 
 
 def chow_pipeline(shape: GrassmannShape) -> TangentPipeline:
@@ -278,6 +262,5 @@ def todd_tangent(shape: GrassmannShape, max_degree: int | None = None) -> ChowEl
     Inhomogeneous, degree-0 part 1, components up to max_degree (default t),
     joined from the pipeline's disjoint graded pieces.
     """
-    todd = chow_pipeline(shape).todd
-    degrees = range(_cap(shape, max_degree) + 1)
-    return combine(shape, (term for k in degrees for term in todd(k).terms.items()))
+    pieces = map(chow_pipeline(shape).todd, range(_cap(shape, max_degree) + 1))
+    return combine(shape, ((lam, Fraction(c, y.den)) for y in pieces for lam, c in y.terms.items()))

@@ -1,7 +1,8 @@
 """The rational Chow ring of a Grassmannian on its Schubert basis.
 
-Classes are sparse rational linear combinations of Schubert classes, indexed
-by partitions inside the d x (n-d) box. Every product of two Schubert
+Classes are sparse rational combinations of the Schubert classes of the
+partitions in the d x (n-d) box, each one integer piece: {partition: int}
+over one positive denominator (`piece`). Every product of two Schubert
 classes, Pieri's rule for a special class included, comes from one
 Littlewood-Richardson tableau count truncated to the box. Multiplication by
 a power sum of the Chern roots of S* is the Murnaghan-Nakayama rule; the
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import gcd, lcm
 from operator import neg
 
@@ -42,27 +43,28 @@ class NonHomogeneousError(ValueError):
 
 @dataclass(frozen=True)
 class ChowElement:
-    """Sparse rational combination of Schubert classes for a fixed shape.
+    """The class sum(c [lam] for lam, c in terms) / den on a fixed shape.
 
-    `terms` maps box partitions to nonzero Fractions. Instances are treated
-    as immutable values; the dict is never mutated after construction.
-    Every sum of classes goes through `combine`, which drops the terms that
-    cancel; `ordered()` lists the terms in the `term_order` used for output.
+    `terms` maps box partitions to nonzero ints, den > 0 and gcd(den, every
+    coefficient) = 1, the form `piece` gives; equal classes have equal
+    fields. The dict is never mutated after construction. Fractions appear
+    only in `coefficient()` and `ordered()`, the terms in output order.
     """
 
     shape: GrassmannShape
     terms: dict
+    den: int = 1
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def coefficient(self, lam: Partition) -> Fraction:
-        return self.terms.get(tuple(lam), Fraction(0))
+        return Fraction(self.terms.get(normalize_partition(lam), 0), self.den)
 
     def component(self, degree: int) -> "ChowElement":
         """Graded piece: restriction to keys of the given weight."""
-        picked = {lam: c for lam, c in self.terms.items() if sum(lam) == degree}
-        return ChowElement(self.shape, picked)
+        return piece(self.shape, {lam: c for lam, c in self.terms.items() if sum(lam) == degree},
+                     self.den)
 
     def degrees(self) -> tuple[int, ...]:
         """Sorted weights occurring in the support."""
@@ -76,17 +78,22 @@ class ChowElement:
         return ws[0]
 
     def ordered(self) -> list:
-        """The (partition, coefficient) terms in `term_order`."""
-        return [(lam, self.terms[lam]) for lam in sorted(self.terms, key=term_order)]
+        """The (partition, Fraction coefficient) terms in `term_order`."""
+        den, terms = self.den, self.terms
+        return [(lam, Fraction(terms[lam], den)) for lam in sorted(terms, key=term_order)]
 
     def __add__(self, other: "ChowElement") -> "ChowElement":
         if not isinstance(other, ChowElement):
             return NotImplemented
         _check_shapes(self, other)
-        return combine(self.shape, chain(self.terms.items(), other.terms.items()))
+        den = lcm(self.den, other.den)
+        out = {lam: c * (den // self.den) for lam, c in self.terms.items()}
+        for lam, c in other.terms.items():
+            out[lam] = out.get(lam, 0) + c * (den // other.den)
+        return piece(self.shape, out, den)
 
     def __neg__(self) -> "ChowElement":
-        return ChowElement(self.shape, {lam: -c for lam, c in self.terms.items()})
+        return ChowElement(self.shape, {lam: -c for lam, c in self.terms.items()}, self.den)
 
     def __sub__(self, other: "ChowElement") -> "ChowElement":
         return self + (-other)
@@ -118,13 +125,27 @@ def term_order(lam: Partition) -> tuple:
     return sum(lam), tuple(map(neg, lam))
 
 
+def piece(shape: GrassmannShape, terms: dict, den: int) -> ChowElement:
+    """The class of the integer piece terms / den, for den > 0, in the form
+    `ChowElement` keeps: zero coefficients dropped and the gcd of den and
+    every coefficient divided out."""
+    terms = {lam: c for lam, c in terms.items() if c}
+    g = gcd(den, *terms.values())
+    if g != 1:
+        terms = {lam: c // g for lam, c in terms.items()}
+    return ChowElement(shape, terms, den // g)
+
+
 def combine(shape: GrassmannShape, pairs) -> ChowElement:
     """The sum of c * [lam] over (lam, c) pairs of box partitions and
-    coefficients, less the terms that cancel."""
+    rational (int or Fraction) coefficients, over the lcm of their
+    denominators (`piece`)."""
+    pairs = list(pairs)
+    den = lcm(*(c.denominator for _, c in pairs))
     out: dict = {}
     for lam, c in pairs:
-        out[lam] = out[lam] + c if lam in out else c
-    return ChowElement(shape, {lam: c for lam, c in out.items() if c})
+        out[lam] = out.get(lam, 0) + c.numerator * (den // c.denominator)
+    return piece(shape, out, den)
 
 
 def _check_shapes(a, b) -> None:
@@ -137,7 +158,7 @@ def zero(shape: GrassmannShape) -> ChowElement:
 
 
 def unit(shape: GrassmannShape) -> ChowElement:
-    return ChowElement(shape, {(): Fraction(1)})
+    return ChowElement(shape, {(): 1})
 
 
 def schubert(shape: GrassmannShape, lam, coeff=1) -> ChowElement:
@@ -166,9 +187,8 @@ def from_terms(shape: GrassmannShape, mapping) -> ChowElement:
 
 def scale(q, a: ChowElement) -> ChowElement:
     q = Fraction(q)
-    if not q:
-        return zero(a.shape)
-    return ChowElement(a.shape, {lam: q * c for lam, c in a.terms.items()})
+    return piece(a.shape, {lam: q.numerator * c for lam, c in a.terms.items()},
+                 q.denominator * a.den)
 
 
 _NOTHING: dict = {}  # the one empty memo entry; memo values are never mutated
@@ -430,14 +450,14 @@ def multiply(a: ChowElement, b: ChowElement) -> ChowElement:
     by_weight: dict = {}
     for mu, cb in b.terms.items():
         by_weight.setdefault(sum(mu), []).append((mu, cb))
-    return combine(shape, (
-        (nu, c * k)
-        for lam, ca in a.terms.items()
-        for wb, bucket in by_weight.items() if sum(lam) + wb <= shape.dim
-        for mu, cb in bucket
-        for c in (ca * cb,)  # one Fraction product per pair of terms
-        for nu, k in product(lam, mu).items()
-    ))
+    out: dict = {}
+    for lam, ca in a.terms.items():
+        for wb, bucket in by_weight.items():
+            if sum(lam) + wb <= shape.dim:
+                for mu, cb in bucket:
+                    for nu, k in product(lam, mu).items():
+                        out[nu] = out.get(nu, 0) + ca * cb * k
+    return piece(shape, out, a.den * b.den)
 
 
 def lr_coefficient(lam, mu, nu) -> int:
@@ -516,9 +536,8 @@ def reduce_mod_h(a: ChowElement) -> tuple[ChowElement, bool]:
     The representative is the unique element of the class with no pivot
     partition of the echelon basis in its support (`Engine.normal_forms` of
     the class's shape); the flag is True exactly when it vanishes. A degree
-    with zero quotient gives zero at once. Otherwise the coefficients are
-    put over one denominator and reduced as an integer piece
-    (`Engine.reduce`).
+    with zero quotient gives zero at once. Otherwise the class's integer
+    piece is reduced (`Engine.reduce`).
     """
     if a.is_zero():
         return a, True
@@ -528,7 +547,5 @@ def reduce_mod_h(a: ChowElement) -> tuple[ChowElement, bool]:
     eng = engine(a.shape)
     if eng.quotient_dim(degree) == 0:
         return zero(a.shape), True
-    den = lcm(*(c.denominator for c in a.terms.values()))
-    terms, den = eng.reduce(degree, {lam: int(c * den) for lam, c in a.terms.items()}, den)
-    rep = ChowElement(a.shape, {mu: Fraction(c, den) for mu, c in terms.items() if c})
+    rep = piece(a.shape, *eng.reduce(degree, a.terms, a.den))
     return rep, rep.is_zero()

@@ -36,6 +36,7 @@ from grasstodd import (
 from grasstodd.bundles import chow_pipeline
 from grasstodd.chow import ENGINES
 from oracles import eager_tangent_classes
+from test_chow import assert_clean
 from testbed import chern_S_inverse_series, exp_graded, graded_context, power_sums_from_elementary
 
 SHAPES = [GrassmannShape(d, n) for n in range(4, 9) for d in range(2, n - 1)]
@@ -211,8 +212,8 @@ def test_max_degree_below_zero_is_an_error_and_above_t_is_everything():
 
 def check_against_oracle(s, oracle, cap):
     top = s.dim if cap is None else cap
-    want_todd = {lam: c for lam, c in oracle["todd"].terms.items() if sum(lam) <= top}
-    assert todd_tangent(s, cap).terms == want_todd, (s, cap)
+    want_todd = from_terms(s, {lam: c for lam, c in oracle["todd"].ordered() if sum(lam) <= top})
+    assert todd_tangent(s, cap) == want_todd, (s, cap)
     for fn, rank in ((ch_Q, s.cols), (ch_S, s.d), (ch_S_dual, s.d), (ch_tangent, s.dim),
                      (chern_tangent, s.dim)):
         got = fn(s, cap)
@@ -253,13 +254,13 @@ def test_warm_repeat_does_no_arithmetic(monkeypatch):
     # integer normalization every piece passes through
     spy(chow_module.Engine, "power_sum", lambda engine, lam, j: j > 1)
     spy(bundles_module.TangentPipeline, "_recurrence")
-    spy(bundles_module, "_lowest")
+    spy(bundles_module, "piece")
     s = GrassmannShape(3, 6)
     ENGINES.clear()  # the next pipeline binds the spied kernels
     queries = [(fn, cap) for cap in (3, None, 1)
                for fn in (todd_tangent, chern_tangent, ch_tangent, ch_Q, ch_S, ch_S_dual)]
     first = [fn(s, cap) for fn, cap in queries]
-    assert {"power_sum", "_recurrence", "_lowest"} <= set(calls)
+    assert {"power_sum", "_recurrence", "piece"} <= set(calls)
     calls.clear()
     assert [fn(s, cap) for fn, cap in queries] == first
     assert calls == []
@@ -305,4 +306,5 @@ def test_pipeline_pieces_match_the_joined_classes():
                 (pipe.ch_tangent(k), cht.component(k)),
                 (pipe.chern(k), ct.component(k)),
             ):
+                assert_clean(piece)
                 assert piece == want and list(piece.terms) == list(want.terms), (s, k)

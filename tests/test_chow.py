@@ -15,15 +15,16 @@ import re
 import tracemalloc
 import weakref
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from grasstodd import (
-    ChowElement,
     GrassmannShape,
     NonHomogeneousError,
     ShapeMismatchError,
+    ch_tangent,
     chern_tangent,
     conjugate,
     enumerate_box,
@@ -93,6 +94,10 @@ def test_schubert_and_unit():
     one = unit(s)
     assert one.coefficient(()) == 1
     assert schubert(s, (2, 1)).homogeneous_degree() == 3
+    # a key with trailing zeros reads the same partition
+    assert schubert(s, (2, 1)).coefficient((2, 1, 0)) == 1
+    assert schubert(s, (2, 1, 0)) == schubert(s, (2, 1))
+    assert scale(Fraction(2, 3), one).coefficient((0, 0)) == Fraction(2, 3)
     with pytest.raises(ValueError):
         schubert(s, (3,))
 
@@ -143,13 +148,16 @@ COEFF = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1,
 @st.composite
 def chow_classes(draw, shape):
     basis = [lam for w in range(min(shape.dim, 4) + 1) for lam in enumerate_box(shape, w)]
-    return ChowElement(shape, draw(st.dictionaries(st.sampled_from(basis), COEFF, max_size=6)))
+    return from_terms(shape, draw(st.dictionaries(st.sampled_from(basis), COEFF, max_size=6)))
 
 
 def assert_clean(x):
-    # every stored coefficient is nonzero, on a box partition
-    assert all(x.terms.values()), x.terms
+    # every stored coefficient is a nonzero int, on a box partition, over a
+    # positive denominator in lowest terms
+    assert all(type(c) is int and c for c in x.terms.values()), x.terms
     assert all(fits_box(lam, x.shape) and lam == normalize_partition(lam) for lam in x.terms)
+    assert type(x.den) is int and x.den > 0, x.den
+    assert gcd(x.den, *x.terms.values()) == 1, (x.den, x.terms)
 
 
 @given(st.sampled_from(TINY_SHAPES), st.data())
@@ -163,11 +171,12 @@ def test_class_arithmetic_never_stores_a_zero_coefficient(shape, data):
     assert (a - a).terms == {} and (a + (-a)).terms == {}
     assert combine(shape, [((), Fraction(1)), ((), Fraction(-1))]).terms == {}
     # keys equal after normalizing are summed, and cancelled ones dropped
+    coeffs = dict(a.ordered())
     dropped = data.draw(st.sets(st.sampled_from(sorted(a.terms)))) if a.terms else set()
-    mapping = {**a.terms, **{lam + (0,): -a.terms[lam] for lam in dropped}}
+    mapping = {**coeffs, **{lam + (0,): -coeffs[lam] for lam in dropped}}
     got = from_terms(shape, mapping)
     assert_clean(got)
-    assert got.terms == {lam: c for lam, c in a.terms.items() if lam not in dropped}
+    assert dict(got.ordered()) == {lam: c for lam, c in coeffs.items() if lam not in dropped}
     # a homogeneous piece and its sum with an h-multiple reduce alike
     for k in a.degrees():
         if k:
@@ -177,6 +186,16 @@ def test_class_arithmetic_never_stores_a_zero_coefficient(shape, data):
             shifted = a.component(k) + pieri(b.component(k - 1), 1)
             if not shifted.is_zero():
                 assert reduce_mod_h(shifted) == (rep, is_zero)
+
+
+@given(st.sampled_from(TINY_SHAPES), st.data())
+def test_rational_coefficients_round_trip(shape, data):
+    # the Fractions that `ordered()` gives build the same class, and the
+    # integer arithmetic over two denominators sums back to the class
+    a = data.draw(chow_classes(shape))
+    q = data.draw(st.fractions(min_value=-20, max_value=20, max_denominator=12))
+    assert from_terms(shape, dict(a.ordered())) == a
+    assert scale(q, a) + scale(1 - q, a) == a
 
 
 @given(st.sampled_from(TINY_SHAPES), st.data())
@@ -512,7 +531,7 @@ def random_class(shape, rng, terms=4):
     for _ in range(terms):
         lam = partition_in(shape, rng)
         mapping[lam] = mapping.get(lam, 0) + Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-    return ChowElement(shape, {lam: c for lam, c in mapping.items() if c})
+    return from_terms(shape, mapping)
 
 
 def test_reduce_mod_h_matches_dense_elimination(rng):
@@ -523,13 +542,14 @@ def test_reduce_mod_h_matches_dense_elimination(rng):
         bases = [enumerate_box(s, i) for i in range(s.dim + 1)]
         echelons = eager_h_echelons(bases, s.d, s.cols)
         hm = Engine(s)
-        full = ChowElement(s, {lam: Fraction(k + 1, k + 2)
-                               for basis in bases for k, lam in enumerate(basis)})
+        full = from_terms(s, {lam: Fraction(k + 1, k + 2)
+                              for basis in bases for k, lam in enumerate(basis)})
         for a in [random_class(s, rng, terms=6) for _ in range(3)] + [full]:
-            want = eager_tau(a.terms, bases, echelons)
+            want = eager_tau(dict(a.ordered()), bases, echelons)
             for j in range(1, s.dim + 1):
                 rep, is_zero = reduce_mod_h(a.component(j))
-                assert rep.terms == want[j], (s, j)
+                assert_clean(rep)
+                assert dict(rep.ordered()) == want[j], (s, j)
                 assert is_zero == (not want[j])
                 assert hm.quotient_dim(j) == len(bases[j]) - len(echelons[j])
 
@@ -600,11 +620,12 @@ def test_registry_holds_at_most_its_bound():
 
 def test_clear_frees_what_the_engines_held():
     def fill():
-        for d, n in ((2, 6), (3, 7), (4, 8)):
+        for d, n in ((2, 6), (2, 7), (3, 7), (4, 8)):
             s = GrassmannShape(d, n)
             tau_components(s)
             todd_tangent(s)
             chern_tangent(s)
+            ch_tangent(s)
             multiply(schubert(s, (2, 1)), schubert(s, (2, 1)))
 
     fill()  # the caches that are not per shape (Bernoulli numbers) fill here
