@@ -20,7 +20,6 @@ from .chow import (
     ChowElement,
     NonHomogeneousError,
     ShapeMismatchError,
-    build_h_matrices,
     from_terms,
     lr_coefficient,
     multiply,
@@ -80,7 +79,6 @@ __all__ = [
     "TauRecord",
     "TauStream",
     "bernoulli",
-    "build_h_matrices",
     "ch_Q",
     "ch_S",
     "ch_S_dual",

@@ -78,8 +78,12 @@ class TangentPipeline:
 
     def __init__(self, shape: GrassmannShape):
         self.shape = shape
-        self.engine = engine(shape)
         self._memo: dict = {}  # (method name, degree) -> ChowElement
+
+    @property
+    def engine(self):
+        """The shape's engine, looked up: a stored one would make a cycle."""
+        return engine(self.shape)
 
     def vanishes(self, k: int) -> bool:
         return k > self.shape.dim
@@ -140,16 +144,7 @@ class TangentPipeline:
         """Piece m of the character with m! ch_m = sign p_m for m >= 1."""
         if m == 0:
             return {(): rank}, 1
-        return self._apply(_UNIT, m, sign, {}), factorial(m)
-
-    def _apply(self, terms: dict, m: int, c: int, out: dict) -> dict:
-        """out += c p_m terms, one Murnaghan-Nakayama step per term."""
-        power = self.engine.power_sum
-        for lam, a in terms.items():
-            ca = c * a
-            for mu, sign in power(lam, m).items():
-                out[mu] = out.get(mu, 0) + (ca if sign > 0 else -ca)
-        return out
+        return _apply(self.engine.power_sum, _UNIT, m, sign, {}), factorial(m)
 
     def _tangent(self, parts) -> dict:
         """sum c T_j terms over the (j, c, terms) of `parts`, j >= 1, for the
@@ -165,19 +160,20 @@ class TangentPipeline:
         outer step p_i runs once on one class.
         """
         n, d = self.shape.n, self.shape.d
+        power = self.engine.power_sum  # looked up once, not once per step
         out: dict = {}
         inner: dict = {}
         for j, c, terms in parts:
             if j & 1:
-                self._apply(terms, j, c * n, out)
+                _apply(power, terms, j, c * n, out)
                 continue
             if n != 2 * d:
-                self._apply(terms, j, c * (n - 2 * d), out)
+                _apply(power, terms, j, c * (n - 2 * d), out)
             for i in range(1, j // 2 + 1):
                 w = comb(j, i) if 2 * i == j else 2 * comb(j, i)
-                self._apply(terms, j - i, c * w if i & 1 else -c * w, inner.setdefault(i, {}))
+                _apply(power, terms, j - i, c * w if i & 1 else -c * w, inner.setdefault(i, {}))
         for i, terms in inner.items():
-            self._apply(terms, i, 1, out)
+            _apply(power, terms, i, 1, out)
         return out
 
     def _recurrence(self, k: int, name: str, weight) -> tuple:
@@ -198,6 +194,15 @@ class TangentPipeline:
         m = lcm(*(scale for *_, scale in parts))
         out = self._tangent((j, w.numerator * (m // scale), terms) for j, w, terms, scale in parts)
         return out, k * m
+
+
+def _apply(power, terms: dict, m: int, c: int, out: dict) -> dict:
+    """out += c p_m terms, one Murnaghan-Nakayama step `power(lam, m)` per term."""
+    for lam, a in terms.items():
+        ca = c * a
+        for mu, sign in power(lam, m).items():
+            out[mu] = out.get(mu, 0) + (ca if sign > 0 else -ca)
+    return out
 
 
 @cache  # computed once per j, not once per step (k, j) of the recurrence

@@ -18,14 +18,17 @@ class.
 Everything kept for a shape lives on its `Engine`: graded bases, kernel
 memos, the normal-form tables of A/(h), and the objects that higher layers
 keep there (the tangent pipelines, the tau stream, rendered command-line
-rows). Engines are served by one registry, `ENGINES`, which holds at most a
-fixed number of shapes and drops them all on `ENGINES.clear()`.
+rows). `engine(shape)` serves them from one `lru_cache` of eight shapes,
+with `engine.cache_clear()` and `engine.cache_info()`. Nothing kept on an
+engine refers back to it, so a dropped engine is freed by reference
+counting alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 from operator import neg
@@ -203,7 +206,9 @@ class Engine:
     h = sigma_1 (`quotient_dim`, `normal_forms`), and the per-shape objects
     of the higher layers, each built once under its key (`kept`): the
     tangent pipelines and the rendered rows of the command line. Engines
-    are served by the bounded registry `ENGINES`.
+    are served by the bounded cache `engine`. No kept object stores its
+    engine (a pipeline looks it up by shape), so an engine is never part of
+    a reference cycle.
 
     Memo values are never mutated once stored; a kept pipeline only adds
     degrees to its own memo.
@@ -387,51 +392,17 @@ def _strips(caps: list, room: list, prev: tuple, r: int, left: int, slack: int, 
         yield from _strips(caps, room, prev, r + 1, left - a, slack - a + prev[r], added + (a,))
 
 
-class EngineRegistry:
-    """The per-shape engines of one process, at most `bound` shapes: when a
-    new shape would pass the bound, the least recently used engine is
-    dropped. `clear()` drops them all.
-
-    A kept pipeline refers back to its engine, so a dropped engine's kept
-    objects are emptied: that breaks the one reference cycle, and reference
-    counting frees the engine at once."""
-
-    def __init__(self, bound: int):
-        self.bound = bound
-        self._engines: dict = {}  # in order of use, the most recent last
-
-    def __len__(self) -> int:
-        return len(self._engines)
-
-    def get(self, shape: GrassmannShape) -> Engine:
-        engines = self._engines
-        hit = engines.pop(shape, None)
-        if hit is None:
-            if len(engines) >= self.bound:
-                engines.pop(next(iter(engines)))._kept.clear()
-            hit = Engine(shape)
-        engines[shape] = hit
-        return hit
-
-    def clear(self) -> None:
-        """Drops every engine."""
-        for dropped in self._engines.values():
-            dropped._kept.clear()
-        self._engines.clear()
-
-
 # Eight shapes: a session over a handful of shapes keeps all of them, and a
 # scan over many shapes (`verdict_table`) holds at most eight at a time.
-ENGINES = EngineRegistry(8)
-
-
+@lru_cache(maxsize=8)
 def engine(shape: GrassmannShape) -> Engine:
-    """The shape's engine from `ENGINES`."""
-    return ENGINES.get(shape)
+    """The shape's engine, built on first use; past eight shapes the least
+    recently used one is dropped. `engine.cache_clear()` drops them all."""
+    return Engine(shape)
 
 
-# The same lookup under older names: benchmarks/child.py reads both by name
-# in every traced run, and the tests read `ring`.
+# The same cache under older names, which benchmarks/child.py reads: their
+# `cache_info()` is what its `chow.ring` and `chow.build_h_matrices` hit ratios report.
 ring = build_h_matrices = engine
 
 

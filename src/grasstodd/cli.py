@@ -40,6 +40,7 @@ from .partitions import GrassmannShape, enumerate_box, fits_box, normalize_parti
 from .pfaffian import AntisymmetricMatrix, classify_B, determinant, pfaffian
 
 GUARD_N = 12
+MAX_DIGITS = 4300  # in one input integer: CPython's default bound on str -> int
 
 
 class UsageError(Exception):
@@ -61,6 +62,8 @@ def parse_partition(text: str) -> tuple:
     parts = [p.strip() for p in s.split(",")]
     if not all(p.isascii() and p.isdigit() for p in parts):
         raise UsageError(f"malformed partition {text!r}")
+    if max(map(len, parts)) > MAX_DIGITS:
+        raise UsageError(f"a partition part has more than {MAX_DIGITS} digits")
     try:
         return normalize_partition(tuple(map(int, parts)))
     except ValueError as exc:
@@ -80,6 +83,10 @@ def _ascii_token(token: str, what: str) -> str:
     # and Fraction reads '_' only from Python 3.11 on
     if not token.isascii() or "_" in token:
         raise UsageError(f"malformed {what} {token!r}")
+    # Fraction reads 'a.b' as the integer ab over a power of ten
+    if len(token) > MAX_DIGITS and any(
+            sum(map(str.isdigit, side)) > MAX_DIGITS for side in token.split("/")):
+        raise UsageError(f"a {what} has more than {MAX_DIGITS} digits in one integer")
     return token
 
 
@@ -336,7 +343,7 @@ def cmd_pfaffian(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             tokens = fh.read().split()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(str(exc)) from None
     if not tokens:
         raise UsageError("empty matrix file")
@@ -623,11 +630,19 @@ def _freeze_imports() -> None:
 
 def main(argv=None) -> int:
     _freeze_imports()
+    # the interpreter's bound on int <-> str (Python 3.10.7 on) holds while
+    # the command line is read, and is lifted so that answers print in full;
+    # the commands' own parsers keep MAX_DIGITS
+    limit = getattr(sys, "get_int_max_str_digits", int)()
     try:
         try:
             args = parse_args(sys.argv[1:] if argv is None else list(argv))
+            if limit:
+                sys.set_int_max_str_digits(0)
             return args.func(args)
         finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
             # here, not at exit, so that the handler below sees a closed
             # stdout, also after help and --version, which raise SystemExit
             sys.stdout.flush()

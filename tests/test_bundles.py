@@ -34,7 +34,7 @@ from grasstodd import (
     zero,
 )
 from grasstodd.bundles import chow_pipeline
-from grasstodd.chow import ENGINES
+from grasstodd.chow import engine
 from oracles import eager_tangent_classes
 from test_chow import assert_clean
 from testbed import chern_S_inverse_series, exp_graded, graded_context, power_sums_from_elementary
@@ -227,12 +227,12 @@ def test_every_cap_matches_textbook_oracle_in_both_fill_orders():
         for d in range(1, n):
             s = GrassmannShape(d, n)
             oracle = eager_tangent_classes(s)
-            ENGINES.clear()
+            engine.cache_clear()
             check_against_oracle(s, oracle, None)
             for cap in range(s.dim + 1):
                 check_against_oracle(s, oracle, cap)
             for cap in range(s.dim + 1):
-                ENGINES.clear()
+                engine.cache_clear()
                 check_against_oracle(s, oracle, cap)
                 check_against_oracle(s, oracle, None)
 
@@ -256,7 +256,7 @@ def test_warm_repeat_does_no_arithmetic(monkeypatch):
     spy(bundles_module.TangentPipeline, "_recurrence")
     spy(bundles_module, "piece")
     s = GrassmannShape(3, 6)
-    ENGINES.clear()  # the next pipeline binds the spied kernels
+    engine.cache_clear()  # cold memos, so the spied kernels run
     queries = [(fn, cap) for cap in (3, None, 1)
                for fn in (todd_tangent, chern_tangent, ch_tangent, ch_Q, ch_S, ch_S_dual)]
     first = [fn(s, cap) for fn, cap in queries]
@@ -264,7 +264,7 @@ def test_warm_repeat_does_no_arithmetic(monkeypatch):
     calls.clear()
     assert [fn(s, cap) for fn, cap in queries] == first
     assert calls == []
-    ENGINES.clear()
+    engine.cache_clear()
 
 
 def test_tangent_operator_is_the_product_with_the_tangent_character():
@@ -288,10 +288,10 @@ def test_fractional_chern_piece_raises(monkeypatch):
     monkeypatch.setattr(bundles_module, "_chern_weight",
                         lambda j: Fraction(1, 3) if j == 2 else weight(j))
     s = GrassmannShape(2, 4)
-    ENGINES.clear()
+    engine.cache_clear()
     with pytest.raises(ArithmeticError, match="denominator"):
         chern_tangent(s)
-    ENGINES.clear()
+    engine.cache_clear()
 
 
 def test_pipeline_pieces_match_the_joined_classes():

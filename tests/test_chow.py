@@ -44,10 +44,10 @@ from grasstodd import (
     unit,
     zero,
 )
-from grasstodd.bundles import chow_pipeline
-from grasstodd.chow import ENGINES, Engine, combine, ring, term_order
+from grasstodd.bundles import TangentPipeline, chow_pipeline
+from grasstodd.chow import Engine, combine, engine, term_order
 from grasstodd.cli import print_class, ser_class
-from grasstodd.cone import tau_stream
+from grasstodd.cone import TauStream, tau_stream
 from oracles import (
     beta_power_sum,
     distinct_points,
@@ -323,19 +323,18 @@ def test_multiply_matches_lr_coefficients(rng):
 def test_pair_product_matches_giambelli_pieri_oracle():
     # every basis pair of every shape with n <= 8
     for s in SMALL_SHAPES:
-        r = ring(s)
+        r = engine(s)
         basis = [lam for w in range(s.dim + 1) for lam in enumerate_box(s, w)]
         for lam in basis:
             for mu in basis:
                 assert r.pair_product(lam, mu) == giambelli_pieri_product(lam, mu, s), (s, lam, mu)
 
 
-def test_lr_coefficient_builds_no_ring(monkeypatch):
-    built = []
-    monkeypatch.setattr(ENGINES, "get", lambda shape: built.append(shape))
+def test_lr_coefficient_builds_no_ring():
+    before = engine.cache_info()
     assert lr_coefficient((3, 2, 1), (3, 2, 1), (4, 3, 3, 1, 1)) == 3
     assert lr_coefficient((5, 4, 3, 2, 1), (5, 4, 3, 2, 1), (6, 5, 5, 4, 3, 2, 2, 2, 1)) == 24
-    assert built == []
+    assert engine.cache_info() == before
 
 
 def test_lr_coefficient_zero_unless_both_factors_inside_nu():
@@ -567,7 +566,7 @@ def test_power_sum_is_the_product_with_p_j():
     # the Murnaghan-Nakayama step against [lam] * p_j, with p_j(S*) the
     # Newton power sum of the special classes up to the sign (-1)^(j+1)
     for s in SMALL_SHAPES:
-        r = ring(s)
+        r = engine(s)
         power_q = newton_power_sums(s)
         basis = [lam for w in range(s.dim + 1) for lam in enumerate_box(s, w)]
         for j in range(1, s.dim + 1):
@@ -581,7 +580,7 @@ def test_power_sum_is_the_product_with_p_j():
 def test_h_columns_are_power_sum_one():
     # p_1 = sigma_1 = h: add a box, every sign +1, exactly the Pieri strip
     for s in SMALL_SHAPES:
-        r = ring(s)
+        r = engine(s)
         for w in range(s.dim):
             for lam in enumerate_box(s, w):
                 assert r.power_sum(lam, 1) == r.pair_product(lam, (1,))
@@ -600,22 +599,46 @@ def test_power_sum_matches_the_beta_list_oracle():
                         assert r.power_sum(lam, j) == beta_power_sum(lam, j, d, n), (s, lam, j)
 
 
-# --- the engine registry ------------------------------------------------------
+# --- the engine cache ---------------------------------------------------------
 
 def test_registry_holds_at_most_its_bound():
-    ENGINES.clear()
+    engine.cache_clear()
     for n in range(2, 11):
         for d in range(1, n):
             s = GrassmannShape(d, n)
             roberts_verdict(s, mode="verdict")
             multiply(sigma(s, 1), sigma(s, 1))
-            assert len(ENGINES) <= ENGINES.bound, s
-    assert len(ENGINES) == ENGINES.bound
+            assert engine.cache_info().currsize <= engine.cache_info().maxsize, s
+    info = engine.cache_info()
+    assert info.currsize == info.maxsize == 8
     # the most recently used shapes stay; a new one drops the least recent
-    last = ring(GrassmannShape(9, 10))
-    ring(GrassmannShape(1, 2))
-    assert ring(GrassmannShape(9, 10)) is last
-    assert len(ENGINES) == ENGINES.bound
+    last = engine(GrassmannShape(9, 10))
+    engine(GrassmannShape(1, 2))
+    assert engine(GrassmannShape(9, 10)) is last
+    after = engine.cache_info()
+    assert (after.hits - info.hits, after.misses - info.misses) == (2, 1)
+    assert after.currsize == after.maxsize
+
+
+def test_held_pipelines_outlive_their_engine():
+    # a pipeline looks its engine up by shape: once that engine is dropped,
+    # reading more degrees builds on a new one, to the same pieces
+    s = GrassmannShape(3, 6)
+    engine.cache_clear()
+    pipe, stream = chow_pipeline(s), tau_stream(s)
+    low = [(pipe.todd(k), pipe.chern(k), stream.todd(k)) for k in range(3)]
+    dropped = weakref.ref(engine(s))
+    for n in range(2, 2 + engine.cache_info().maxsize):  # eight other shapes
+        engine(GrassmannShape(1, n))
+    assert dropped() is None
+    fresh, fresh_stream = TangentPipeline(s), TauStream(s)
+    assert low == [(fresh.todd(k), fresh.chern(k), fresh_stream.todd(k)) for k in range(3)]
+    for k in range(s.dim + 1):
+        assert pipe.todd(k) == fresh.todd(k), k
+        assert pipe.chern(k) == fresh.chern(k), k
+        assert pipe.ch_tangent(k) == fresh.ch_tangent(k), k
+        assert stream.todd(k) == fresh_stream.todd(k), k
+    assert chow_pipeline(s) is not pipe  # kept on the new engine, which did not have it
 
 
 def test_clear_frees_what_the_engines_held():
@@ -629,13 +652,13 @@ def test_clear_frees_what_the_engines_held():
             multiply(schubert(s, (2, 1)), schubert(s, (2, 1)))
 
     fill()  # the caches that are not per shape (Bernoulli numbers) fill here
-    ENGINES.clear()
+    engine.cache_clear()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         fill()
         held = tracemalloc.get_traced_memory()[0] - base
-        ENGINES.clear()
+        engine.cache_clear()
         # nothing is cyclic; a full collection also empties CPython's free
         # lists, about 80 KB that tracemalloc still counts
         gc.collect()
@@ -658,29 +681,29 @@ def test_dropped_engines_free_without_the_collector():
             todd_tangent(s)
             chern_tangent(s)
             multiply(schubert(s, (2, 1)), schubert(s, (2, 1)))
-            refs += map(weakref.ref, (ring(s), tau_stream(s), chow_pipeline(s)))
+            refs += map(weakref.ref, (engine(s), tau_stream(s), chow_pipeline(s)))
         return refs
 
     gc.disable()
     try:
-        ENGINES.clear()
+        engine.cache_clear()
         refs = fill()
         assert all(r() is not None for r in refs)
-        ENGINES.clear()
+        engine.cache_clear()
         assert all(r() is None for r in refs)
         refs = fill()
-        for n in range(2, 2 + ENGINES.bound):  # as many new shapes as the bound
-            ring(GrassmannShape(1, n))
+        for n in range(2, 2 + engine.cache_info().maxsize):  # as many new shapes as the bound
+            engine(GrassmannShape(1, n))
         assert all(r() is None for r in refs)
     finally:
         gc.enable()
-        ENGINES.clear()
+        engine.cache_clear()
 
 
 def test_queries_leave_no_cyclic_garbage():
     gc.disable()
     try:
-        ENGINES.clear()  # cold memos, so every kernel runs
+        engine.cache_clear()  # cold memos, so every kernel runs
         gc.collect()
         for s in FILL_SHAPES:
             tau_components(s)

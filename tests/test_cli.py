@@ -6,12 +6,14 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 import textwrap
 import time
 from fractions import Fraction
+from math import comb
 from unittest import mock
 
 import pytest
@@ -297,6 +299,71 @@ def test_pfaffian_eval_bad_file(tmp_path, capsys):
     assert "negative" in err
     code, _, err = run(capsys, "pfaffian", "eval", str(tmp_path / "missing.txt"))
     assert code == 2
+    f.write_bytes(b"\xff2\n0 1\n-1 0\n")  # not UTF-8
+    code, out, err = run(capsys, "pfaffian", "eval", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "utf-8" in err
+
+
+@contextlib.contextmanager
+def every_digit():
+    """No bound on int -> str in the body, where the interpreter has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_exact_answers_print_every_digit(tmp_path, capsys):
+    # past CPython's default bound of 4300 digits on int -> str, which
+    # reads the same once main returns
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    rng = random.Random(19)
+    a, b, c, d, e, f = (rng.randrange(10 ** 2999, 10 ** 3000) for _ in range(6))
+    path = tmp_path / "big.txt"
+    path.write_text(f"4\n0 {a} {b} {c}\n{-a} 0 {d} {e}\n{-b} {-d} 0 {f}\n{-c} {-e} {-f} 0\n")
+    pf = a * f - b * e + c * d
+    code, doc = run_json(capsys, "pfaffian", "eval", str(path), "--json")
+    code_text, out, err = run(capsys, "pfaffian", "eval", str(path))
+    code_b, out_b, err_b = run(capsys, "pfaffian", "classify", "5000", "20000")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    with every_digit():
+        assert (code, doc["result"]) == (0, {
+            "pfaffian": {"num": str(pf), "den": "1"},
+            "determinant": {"num": str(pf * pf), "den": "1"},
+            "square_check": True,
+        })
+        assert len(str(pf * pf)) > 11_000
+        assert (code_text, err) == (0, "")
+        assert out == f"Pf  = {pf}\ndet = {pf * pf}\nPf^2 == det: yes\n"
+        # B_5000(20000) is no Roberts ring: exit 1, with the whole answer
+        assert (code_b, err_b) == (1, "")
+        assert out_b.splitlines()[0] == f"B_5000(20000): generators = {comb(20000, 10000)}, height = 50015001"
+
+
+def test_input_integers_stay_within_4300_digits(tmp_path, capsys):
+    over, most = "7" * 4301, "7" * 4300
+    f = tmp_path / "long.txt"
+    for text in (f"1\n{over}\n", f"1\n-{over}/3\n", f"1\n1/{over}\n", f"1\n{most}.7\n", f"{over}\n"):
+        f.write_text(text)
+        code, out, err = run(capsys, "pfaffian", "eval", str(f))
+        assert (code, out) == (2, ""), text[:8]
+        assert err.startswith("error: ") and "more than 4300 digits" in err, text[:8]
+    for argv in (
+        ["chow", "reduce", "2", "5", "--class", f"[2]:{over}"],
+        ["chow", "reduce", "2", "5", "--class", f"[{over}]:1"],
+        ["chow", "pieri", "2", "5", f"{over},1", "1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv[-2]
+        assert err.startswith("error: ") and "more than 4300 digits" in err, argv[-2]
+    # 4300 digits in each integer are read
+    code, out, _ = run(capsys, "chow", "reduce", "2", "5", "--class", f"[2]:-{most}/{most}")
+    assert (code, out) == (0, "representative: [1,1]\nzero mod h: no\n")
 
 
 def test_pfaffian_eval_rejects_extra_tokens(tmp_path, capsys):

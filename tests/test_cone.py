@@ -23,7 +23,7 @@ from grasstodd import (
     tau_components,
     verdict_table,
 )
-from grasstodd.chow import ENGINES
+from grasstodd.chow import engine
 from oracles import eager_h_echelons, eager_tangent_classes, eager_tau, gorenstein_parity_check
 
 
@@ -70,7 +70,7 @@ def test_cone_chow_dims_match_eager_ranks():
 
 
 def test_verdict_mode_builds_only_the_echelons_it_reads(echelons_built):
-    ENGINES.clear()
+    engine.cache_clear()
     s = GrassmannShape(4, 9)
     report = roberts_verdict(s, mode="verdict")
     assert report.witness == 2
@@ -121,7 +121,7 @@ def test_verdict_on_projective_spaces_needs_only_rank_certificates(monkeypatch, 
     spy(bundles_module.TangentPipeline, "_recurrence")
     spy(bundles_module.TangentPipeline, "__init__",
         lambda pipe, *args: type(pipe) is bundles_module.TangentPipeline)
-    ENGINES.clear()  # cold kernel memos, so the control below reaches them
+    engine.cache_clear()  # cold kernel memos, so the control below reaches them
     for n in range(2, 13):
         for d in (1, n - 1):
             s = GrassmannShape(d, n)
