@@ -93,13 +93,16 @@ def _ascii_token(token: str, what: str) -> str:
 def parse_rational(token: str) -> Fraction:
     """A rational such as "-3/7", "5" or "1.5", in ASCII without '_'.
 
-    Exponent notation is refused before `Fraction` reads the token: it
-    would build the whole integer, and "1e10000000" takes seconds.
+    `int` reads each side of the forms of `str(Fraction)`, "[+-]digits" and
+    "[+-]digits/digits"; `Fraction` reads the rest. Exponent notation is refused
+    first: it would build the whole integer, and "1e10000000" takes seconds.
     """
     if "e" in token or "E" in token:
         raise UsageError(f"exponent notation is not accepted: {token!r}")
+    num, slash, den = _ascii_token(token, "rational").partition("/")
     try:
-        return Fraction(_ascii_token(token, "rational"))
+        fast = (num[1:] if num[:1] in "+-" else num).isdigit() and (den.isdigit() or not slash)
+        return Fraction(int(num), int(den or 1)) if fast else Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"malformed rational {token!r}") from None
 

@@ -8,8 +8,9 @@ Roberts ring: exactly for n = 2m or m = 1.
 
 Pfaffians and determinants of rational matrices are exact and O(k^3):
 fraction-free elimination on Python ints (a skew Bareiss step for the
-Pfaffian, Bareiss for the determinant), with every division checked to be
-exact, and one division by the denominators cleared at the start. The two
+Pfaffian, Bareiss for the determinant) after one division by the cleared
+denominators. Both divide each new row by the last pivot in
+`_exact_quotients`, which checks that every division is exact. The two
 share only that check, so Pf^2 = det tests each against the other.
 """
 
@@ -36,40 +37,44 @@ class AntisymmetricMatrix:
     @classmethod
     def from_rows(cls, rows) -> "AntisymmetricMatrix":
         """Validate and freeze; names the first offending entry on failure."""
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        data = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows)
         k = len(data)
         for i, row in enumerate(data):
             if len(row) != k:
                 raise ValueError(f"row {i + 1} has {len(row)} entries, expected {k}")
-        for i in range(k):
-            if data[i][i]:
+        for i, row in enumerate(data):
+            if row[i]:
                 raise ValueError(f"entry ({i + 1},{i + 1}) must be zero on the diagonal")
             for j in range(i + 1, k):
-                if data[i][j] != -data[j][i]:
+                a, b = row[j], data[j][i]
+                if a.numerator != -b.numerator or a.denominator != b.denominator:
                     raise ValueError(
                         f"entry ({j + 1},{i + 1}) is not the negative of ({i + 1},{j + 1})"
                     )
         return cls(data)
 
 
-def _exact_div(num: int, den: int) -> int:
-    """num / den where the elimination says den divides num; raises if not."""
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError(f"fraction-free elimination: {den} does not divide {num}")
-    return q
+def _exact_quotients(row: list, den: int) -> list:
+    """[x / den for x in row] in ints; raises ArithmeticError where den does not divide x."""
+    out = []
+    for num in row:
+        q, r = divmod(num, den)
+        if r:
+            raise ArithmeticError(f"fraction-free elimination: {den} does not divide {num}")
+        out.append(q)
+    return out
 
 
 def pfaffian(z: AntisymmetricMatrix) -> Fraction:
     """Pfaffian by fraction-free skew elimination, O(k^3), exact.
 
-    The matrix is scaled to integers by D, the lcm of its denominators.
-    Each step brings a nonzero entry of the first remaining row to (0, 1)
-    by a symmetric swap of two indices, which flips the sign; a zero row
-    means Pf = 0. Then the trailing block becomes
-    a'_ij = (p a_ij + a_i1 a_j0 - a_i0 a_j1) / p_prev, with p the pivot
-    a_01 and p_prev the one before; a'_ij is the Pfaffian of the pivot
-    indices so far plus {i, j} (the Pfaffian form of Sylvester's
+    The matrix is scaled to integers by D, the lcm of its denominators;
+    only the entries above the diagonal are kept. Each step takes the
+    first nonzero entry a_0q of the first row as the pivot p (a zero row
+    means Pf = 0) and moves index q to position 1, which multiplies Pf by
+    (-1)^(q-1). The other indices, in order, get
+    a'_ij = (p a_ij - a_iq a_0j + a_0i a_jq) / p_prev, the Pfaffian of the
+    pivot indices so far plus {i, j} (the Pfaffian form of Sylvester's
     identity), so each division is exact, and checked.
     The last pivot, signed, is Pf(D z) = D^(k/2) Pf(z).
 
@@ -80,29 +85,23 @@ def pfaffian(z: AntisymmetricMatrix) -> Fraction:
     if k % 2:
         return Fraction(0)
     scale = lcm(*(q.denominator for row in z.entries for q in row))
-    m = [[q.numerator * (scale // q.denominator) for q in row] for row in z.entries]
+    m = [[q.numerator * (scale // q.denominator) for q in row[i + 1:]]
+         for i, row in enumerate(z.entries)]
     sign, prev = 1, 1
     while m:
         p = next((j for j, x in enumerate(m[0]) if x), None)
         if p is None:
             return Fraction(0)
-        if p != 1:
-            m[1], m[p] = m[p], m[1]
-            for row in m:
-                row[1], row[p] = row[p], row[1]
-            sign = -sign
-        pivot = m[0][1]
-        c0 = [row[0] for row in m]
-        c1 = [row[1] for row in m]
-        rest = len(m) - 2
-        nxt = [[0] * rest for _ in range(rest)]
-        for a in range(rest):
-            i = a + 2
-            for b in range(a + 1, rest):
-                j = b + 2
-                v = _exact_div(pivot * m[i][j] + c1[i] * c0[j] - c0[i] * c1[j], prev)
-                nxt[a][b], nxt[b][a] = v, -v
-        m, prev = nxt, pivot
+        q, pivot, sign = p + 1, m[0][p], sign * (-1) ** p
+        # the other indices i, in order: a_0i, a_iq, and row i without column q
+        a0 = m[0][:p] + m[0][q:]
+        aq = [row[q - i - 1] for i, row in enumerate(m[1:q], 1)] + [-x for x in m[q]]
+        rows = [row[: q - i - 1] + row[q - i:] for i, row in enumerate(m[1:q], 1)] + m[q + 1:]
+        m = []
+        for a, (row, ia0, iaq) in enumerate(zip(rows, a0, aq)):
+            nums = [pivot * x - iaq * y + ia0 * w for x, y, w in zip(row, a0[a + 1:], aq[a + 1:])]
+            m.append(_exact_quotients(nums, prev))
+        prev = pivot
     return Fraction(sign * prev, scale ** (k // 2))
 
 
@@ -117,25 +116,22 @@ def determinant(rows) -> Fraction:
     scaling nor the elimination is shared with `pfaffian`, so Pf^2 = det
     is a real check.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
-    size = len(m)
-    if any(len(row) != size for row in m):
+    m = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
+    if any(len(row) != len(m) for row in m):
         raise ValueError("determinant needs a square matrix")
     scales = [lcm(*(q.denominator for q in row)) for row in m]
     m = [[q.numerator * (s // q.denominator) for q in row] for row, s in zip(m, scales)]
     sign, prev = 1, 1
-    for c in range(size):
-        p = next((r for r in range(c, size) if m[r][c]), None)
+    while m:
+        p = next((r for r, row in enumerate(m) if row[0]), None)
         if p is None:
             return Fraction(0)
-        if p != c:
-            m[c], m[p] = m[p], m[c]
+        if p:
+            m[0], m[p] = m[p], m[0]
             sign = -sign
-        pivot, top = m[c][c], m[c]
-        for row in m[c + 1:]:
-            f = row[c]
-            for j in range(c + 1, size):
-                row[j] = _exact_div(pivot * row[j] - f * top[j], prev)
+        (pivot, *top), rows, m = m[0], m[1:], []
+        for f, *row in rows:
+            m.append(_exact_quotients([pivot * x - f * t for x, t in zip(row, top)], prev))
         prev = pivot
     return Fraction(sign * prev, prod(scales))
 

@@ -385,6 +385,39 @@ def test_parse_rational_forms():
             parse_rational(token)
 
 
+def test_parse_rational_agrees_with_fraction():
+    # tokens that `int` reads on each side, and tokens only `Fraction` reads
+    for token in ("+1", "-0", "007/010", "-12/18", "+3/1", "0/5", "9" * 4300, "1/" + "3" * 4300,
+                  "1.5", ".5", "5.", "-0.250", "+.0", " 2/4", "7\n", "-1\t"):
+        assert parse_rational(token) == Fraction(token), token
+        assert type(parse_rational(token)) is Fraction, token
+    # each refused token and its message, in the order the checks run
+    over = "1" * 4301
+    refused = {
+        "1e5": "exponent notation is not accepted: '1e5'",
+        "1_0": "malformed rational '1_0'",
+        "\u0661": "malformed rational '\u0661'",
+        over: "a rational has more than 4300 digits in one integer",
+        over + "e": f"exponent notation is not accepted: '{over}e'",
+        "1/0": "malformed rational '1/0'",
+        "1/00": "malformed rational '1/00'",
+        "3/-4": "malformed rational '3/-4'",
+        "1/+4": "malformed rational '1/+4'",
+        "+-1": "malformed rational '+-1'",
+        "1//2": "malformed rational '1//2'",
+        "/2": "malformed rational '/2'",
+        "-/2": "malformed rational '-/2'",
+        "1/": "malformed rational '1/'",
+        "1 /2": "malformed rational '1 /2'",
+        "1/ 2": "malformed rational '1/ 2'",
+        "1.5/2": "malformed rational '1.5/2'",
+    }
+    for token, message in refused.items():
+        with pytest.raises(UsageError) as info:
+            parse_rational(token)
+        assert str(info.value) == message, token[:12]
+
+
 def test_class_term_needs_a_coefficient_after_the_colon(capsys):
     code, out, err = run(capsys, "chow", "reduce", "2", "5", "--class", "[2]:")
     assert (code, out) == (2, "")

@@ -13,7 +13,7 @@ from grasstodd import (
     determinant,
     pfaffian,
 )
-from grasstodd.pfaffian import _exact_div
+from grasstodd.pfaffian import _exact_quotients
 from oracles import (
     exact_determinant,
     expansion_pfaffian,
@@ -41,6 +41,28 @@ def test_from_rows_validation():
     z = AntisymmetricMatrix.from_rows([[0, "1/2"], ["-1/2", 0]])
     assert z.size == 2
     assert z.entries[0][1] == Fraction(1, 2)
+
+
+def test_from_rows_compares_values_not_spellings():
+    z = AntisymmetricMatrix.from_rows(
+        [[0, "2/4", 3, "1.5"], ["-1/2", 0, 0, 0], [Fraction(-3), 0, 0, 0], ["-3/2", 0, 0, 0]]
+    )
+    assert z.entries[0] == (0, Fraction(1, 2), 3, Fraction(3, 2))
+    assert all(type(x) is Fraction for row in z.entries for x in row)
+    # the first offending entry, in row order, is the one named
+    rows = [[0, 1, 2], [-1, 5, 7], [-2, 3, 4]]
+    with pytest.raises(ValueError, match=r"^entry \(2,2\) must be zero on the diagonal$"):
+        AntisymmetricMatrix.from_rows(rows)
+    rows[1][1] = 0
+    with pytest.raises(ValueError, match=r"^entry \(3,2\) is not the negative of \(2,3\)$"):
+        AntisymmetricMatrix.from_rows(rows)
+    rows[2] = ["-2", "-7/1", "0.0"]
+    rows[0][2] = Fraction(5, 2)
+    with pytest.raises(ValueError, match=r"^entry \(3,1\) is not the negative of \(1,3\)$"):
+        AntisymmetricMatrix.from_rows(rows)
+    # equal numerators, denominators that differ
+    with pytest.raises(ValueError, match="negative"):
+        AntisymmetricMatrix.from_rows([[0, "1/2"], ["-1/3", 0]])
 
 
 def test_pfaffian_small_cases():
@@ -184,6 +206,7 @@ def test_pfaffian_squares_to_determinant_at_size_40(rng):
 
 
 def test_inexact_division_raises():
-    assert _exact_div(-12, 4) == -3
-    with pytest.raises(ArithmeticError, match="does not divide"):
-        _exact_div(7, 2)
+    assert _exact_quotients([-12, 0, 8], 4) == [-3, 0, 2]
+    assert _exact_quotients([], 3) == []
+    with pytest.raises(ArithmeticError, match="^fraction-free elimination: 4 does not divide 6$"):
+        _exact_quotients([-12, 6, 8, 7], 4)
