@@ -10,14 +10,15 @@ instance on the Chow ring, kept on the shape's engine (`chow.Engine`), and
 every constructor here reads a prefix of its degrees; `cone.TauStream` is
 the subclass whose classes are reduced modulo h, kept on the same engine.
 
-Chern classes and characters are `BundleClass`es. All constructors but
+Chern classes and characters are `BundleClass`es, immutable named tuples
+each equal to the tuple of its fields. All constructors but
 `chern_Q` take `max_degree`, the top degree to compute: None or a value
 above t = d(n-d) means every degree, and a negative one raises ValueError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial, partialmethod
 from math import comb, factorial, gcd, lcm
@@ -27,18 +28,17 @@ from .partitions import GrassmannShape
 from .series import todd_log_coeff
 
 
-@dataclass(frozen=True)
-class BundleClass:
+class BundleClass(namedtuple("BundleClass", "shape rank parts")):
     """Graded class of a rank-`rank` bundle: Chern classes or Chern character.
 
     parts[k] is the degree-k piece for k = 0..cap, each homogeneous of
     degree k or zero: the unit c_0 = 1 for Chern classes, rank * unit for
-    the character. Degrees past the stored ones read as zero.
+    the character. Degrees past the stored ones read as zero. Index the
+    pieces through `parts` or `component`: the class itself is the tuple
+    (shape, rank, parts).
     """
 
-    shape: GrassmannShape
-    rank: int
-    parts: tuple
+    __slots__ = ()
 
     def component(self, m: int) -> ChowElement:
         if 0 <= m < len(self.parts):

@@ -13,40 +13,38 @@ tangent-bundle pipeline that builds the Chow-ring classes (`TauStream`).
 Each shape has one stream, kept on its engine (`tau_stream`): report mode,
 verdict mode and `bundle --mod-h` all read it, so a degree reduced for one
 of them is reduced for all. `cone_chow_dims` reads the quotient dimensions
-from the same engine.
+from the same engine. The records returned here (`TauRecord`,
+`RobertsReport`, `ConeChowDims`, `TableEntry`) are immutable named tuples,
+each equal to the tuple of its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bundles import TangentPipeline
-from .chow import ChowElement, engine
+from .chow import engine
 from .partitions import GrassmannShape
 
 
-@dataclass(frozen=True)
-class TauRecord:
+class TauRecord(namedtuple("TauRecord", "degree tau_index representative is_zero")):
     """One reduced Todd component.
 
     `degree` is the cohomological degree j on the Grassmannian; `tau_index`
     is the dimension label t+1-j of the corresponding cone Chow group. Both
-    are carried to keep the two indexing conventions straight.
+    are carried to keep the two indexing conventions straight. The
+    representative is a `ChowElement`; `is_zero` is a bool.
     """
 
-    degree: int
-    tau_index: int
-    representative: ChowElement
-    is_zero: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RobertsReport:
-    shape: GrassmannShape
-    cone_dim: int
-    records: tuple
-    verdict: bool
-    witness: int | None
+class RobertsReport(namedtuple("RobertsReport", "shape cone_dim records verdict witness")):
+    """The verdict for one shape: the `TauRecord`s read, in degree order,
+    whether the cone is a Roberts ring, and the least degree with a nonzero
+    component (None when there is none)."""
+
+    __slots__ = ()
 
     def record(self, degree: int) -> TauRecord:
         for r in self.records:
@@ -78,12 +76,10 @@ class TauStream(TangentPipeline):
         return TauRecord(j, self.shape.dim + 1 - j, rep, rep.is_zero())
 
 
-@dataclass(frozen=True)
-class ConeChowDims:
+class ConeChowDims(namedtuple("ConeChowDims", "shape dims")):
     """dims[i] = rational dimension of A_i for the cone, i = 0..t+1."""
 
-    shape: GrassmannShape
-    dims: tuple
+    __slots__ = ()
 
 
 def tau_stream(shape: GrassmannShape) -> TauStream:
@@ -138,12 +134,11 @@ def roberts_verdict(shape: GrassmannShape, mode: str = "report") -> RobertsRepor
     return RobertsReport(shape, t + 1, records, witness is None, witness)
 
 
-@dataclass(frozen=True)
-class TableEntry:
-    d: int
-    n: int
-    roberts: bool
-    witness: int | None
+class TableEntry(namedtuple("TableEntry", "d n roberts witness")):
+    """One row of `verdict_table`: the shape, its verdict and the witness
+    degree (None for a Roberts ring)."""
+
+    __slots__ = ()
 
 
 def verdict_table(max_n: int) -> tuple:

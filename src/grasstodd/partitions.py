@@ -1,12 +1,13 @@
 """Partitions in a rectangular box, tableau counts, and Pluecker relation counts.
 
 Partitions are plain tuples of weakly decreasing positive integers with no
-trailing zeros; the empty tuple is the zero-weight partition.
+trailing zeros; the empty tuple is the zero-weight partition. A
+`GrassmannShape` is an immutable named tuple, equal to the tuple (d, n).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 Partition = tuple[int, ...]
@@ -24,20 +25,20 @@ def normalize_partition(parts) -> Partition:
     return out
 
 
-@dataclass(frozen=True)
-class GrassmannShape:
+class GrassmannShape(namedtuple("GrassmannShape", "d n")):
     """A Grassmannian of d-dimensional subspaces of an n-dimensional space.
 
     Schubert classes live in a d x (n-d) box; the projective dimension is
-    dim = d*(n-d).
+    dim = d*(n-d). An immutable named tuple: it equals the tuple (d, n) and
+    hashes as a tuple, which is how the shape's engine is looked up.
     """
 
-    d: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.d <= self.n - 1:
-            raise ValueError(f"need 1 <= d <= n-1, got d={self.d}, n={self.n}")
+    def __new__(cls, d: int, n: int):
+        if not 1 <= d <= n - 1:
+            raise ValueError(f"need 1 <= d <= n-1, got d={d}, n={n}")
+        return super().__new__(cls, d, n)
 
     @property
     def cols(self) -> int:

@@ -12,11 +12,13 @@ Pfaffian, Bareiss for the determinant) after one division by the cleared
 denominators. Both divide each new row by the last pivot in
 `_exact_quotients`, which checks that every division is exact. The two
 share only that check, so Pf^2 = det tests each against the other.
+`AntisymmetricMatrix` and `PfaffianClassification` are immutable named
+tuples, each equal to the tuple of its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, lcm, prod
 
@@ -24,11 +26,11 @@ from .cone import roberts_verdict
 from .partitions import GrassmannShape
 
 
-@dataclass(frozen=True)
-class AntisymmetricMatrix:
-    """Square rational matrix with z_ij = -z_ji and zero diagonal."""
+class AntisymmetricMatrix(namedtuple("AntisymmetricMatrix", "entries")):
+    """Square rational matrix with z_ij = -z_ji and zero diagonal, its rows
+    in `entries`. `from_rows` is the checked constructor."""
 
-    entries: tuple
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -136,14 +138,12 @@ def determinant(rows) -> Fraction:
     return Fraction(sign * prev, prod(scales))
 
 
-@dataclass(frozen=True)
-class PfaffianClassification:
-    m: int
-    n: int
-    generators: int
-    height: int
-    is_complete_intersection: bool
-    is_roberts: bool
+class PfaffianClassification(
+    namedtuple("PfaffianClassification", "m n generators height is_complete_intersection is_roberts")
+):
+    """The counts and verdicts of `classify_B` for B_m(n)."""
+
+    __slots__ = ()
 
 
 def classify_B(m: int, n: int) -> PfaffianClassification:

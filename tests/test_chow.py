@@ -44,6 +44,7 @@ from grasstodd import (
     unit,
     zero,
 )
+import grasstodd.chow as chow_module
 from grasstodd.bundles import TangentPipeline, chow_pipeline
 from grasstodd.chow import Engine, combine, engine, term_order
 from grasstodd.cli import print_class, ser_class
@@ -464,6 +465,26 @@ def test_lazy_echelons_match_eager_oracle(echelons_built):
             assert eng.normal_forms(i) == forms[i], (s, i)
             assert eng.quotient_dim(i) == len(bases[i]) - len(eager[i]), (s, i)
         assert [i for shape, i in echelons_built if shape == s] == list(range(s.dim, 0, -1))
+
+
+@pytest.mark.parametrize("d, n, bound", [(6, 12, 4614), (7, 14, 29526)])
+def test_h_tables_bound_their_elimination_steps(monkeypatch, d, n, bound):
+    # the column order sets the cost of the h-tables, not their contents
+    # (test_lazy_echelons_match_eager_oracle): smallest first part first
+    # takes under half the steps of basis order on G(7,14)
+    calls = []
+    eliminate = chow_module._eliminate
+
+    def spy(row, base, q):
+        calls.append(q)
+        return eliminate(row, base, q)
+
+    monkeypatch.setattr(chow_module, "_eliminate", spy)
+    s = GrassmannShape(d, n)
+    eng = Engine(s)
+    for i in range(1, s.dim + 1):
+        eng.quotient_dim(i)
+    assert len(calls) <= bound
 
 
 def test_quotient_dims_match_hard_lefschetz():

@@ -678,9 +678,12 @@ def test_console_script_installed():
     assert json.loads(out.stdout)["result"]["roberts"] is True
 
 
-def test_cli_import_leaves_multiprocessing_unloaded():
-    # no command starts worker processes, so importing the CLI must not load multiprocessing
-    probe = "import sys, grasstodd.cli; print('multiprocessing' in sys.modules)"
+@pytest.mark.parametrize("module", ["multiprocessing", "dataclasses", "inspect"])
+def test_cli_import_leaves_module_unloaded(module):
+    # every command is a fresh process, so what the import loads is start-up
+    # cost: no command starts worker processes, and the records are named
+    # tuples, which need neither dataclasses nor the inspect chain it pulls in
+    probe = f"import sys, grasstodd.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
