@@ -7,6 +7,8 @@ JSON output is canonical (sorted keys, no whitespace) so that parse +
 re-serialize round-trips byte-identically; rationals are emitted as
 {"num": ..., "den": ...} string pairs.
 
+Each leaf command is declared once, in `LEAVES`: its help line, its
+handler and its arguments as data. Two parsers read that one declaration.
 A well-formed command line is read by its leaf's direct grammar, which
 builds no argparse parser; every other line, help and errors among them,
 is read by the full argparse tree (see `parse_args`).
@@ -21,7 +23,6 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache, partial
-from types import SimpleNamespace
 
 from . import __version__
 from .bundles import chow_pipeline
@@ -47,6 +48,14 @@ class UsageError(Exception):
     pass
 
 
+def _checked(func, *args):
+    """func(*args), with a ValueError that it raises raised as a UsageError."""
+    try:
+        return func(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 # -- parsing helpers ----------------------------------------------------------
 
 
@@ -64,10 +73,7 @@ def parse_partition(text: str) -> tuple:
         raise UsageError(f"malformed partition {text!r}")
     if max(map(len, parts)) > MAX_DIGITS:
         raise UsageError(f"a partition part has more than {MAX_DIGITS} digits")
-    try:
-        return normalize_partition(tuple(map(int, parts)))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return _checked(normalize_partition, tuple(map(int, parts)))
 
 
 def parse_box_partition(text: str, shape: GrassmannShape) -> tuple:
@@ -131,10 +137,7 @@ def check_guard(n: int, force: bool) -> None:
 
 def _shape(args) -> GrassmannShape:
     """The shape of a d n command, checked against the size guard."""
-    try:
-        shape = GrassmannShape(args.d, args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    shape = _checked(GrassmannShape, args.d, args.n)
     check_guard(args.n, args.force)
     return shape
 
@@ -209,10 +212,8 @@ def cmd_roberts(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.max_n < 2:
-        raise UsageError("max_n must be at least 2")
     check_guard(args.max_n, args.force)
-    entries = verdict_table(args.max_n)
+    entries = _checked(verdict_table, args.max_n)
     roberts_count = sum(1 for e in entries if e.roberts)
     if args.json:
         payload = {
@@ -233,45 +234,55 @@ def cmd_table(args) -> int:
     return 0
 
 
-def cmd_chow(args) -> int:
+def cmd_basis(args) -> int:
     shape = _shape(args)
-    params = {"d": args.d, "n": args.n}
-    if args.chow_op == "basis":
-        if not 0 <= args.degree <= shape.dim:
-            raise UsageError(f"degree must lie in [0, {shape.dim}]")
-        basis = enumerate_box(shape, args.degree)
-        if args.json:
-            emit_json("chow.basis", {**params, "degree": args.degree},
-                      {"partitions": [list(lam) for lam in basis], "count": len(basis)})
-        else:
-            print(f"degree {args.degree} basis of G_{shape.d}({shape.n}): {len(basis)} classes")
-            for lam in basis:
-                print(f"  {list(lam)}")
-                if args.diagrams:
-                    print(diagram(lam))
-        return 0
-    if args.chow_op in ("pieri", "multiply"):
-        lam = parse_box_partition(args.lam, shape)
-        if args.chow_op == "pieri":
-            params.update(partition=list(lam), m=args.m)
-            result = pieri(schubert(shape, lam), args.m)
-        else:
-            mu = parse_box_partition(args.mu, shape)
-            params.update(lam=list(lam), mu=list(mu))
-            result = multiply(schubert(shape, lam), schubert(shape, mu))
-        if args.json:
-            emit_json(f"chow.{args.chow_op}", params, {"class": ser_class(result)})
-        else:
-            print_class(result, args.diagrams)
-        return 0
-    # reduce
+    if not 0 <= args.degree <= shape.dim:
+        raise UsageError(f"degree must lie in [0, {shape.dim}]")
+    basis = enumerate_box(shape, args.degree)
+    if args.json:
+        emit_json("chow.basis", {"d": args.d, "n": args.n, "degree": args.degree},
+                  {"partitions": [list(lam) for lam in basis], "count": len(basis)})
+    else:
+        print(f"degree {args.degree} basis of G_{shape.d}({shape.n}): {len(basis)} classes")
+        for lam in basis:
+            print(f"  {list(lam)}")
+            if args.diagrams:
+                print(diagram(lam))
+    return 0
+
+
+def _emit_product(args, command: str, params: dict, result: ChowElement) -> int:
+    """The answer of `chow pieri` or `chow multiply`."""
+    if args.json:
+        emit_json(command, {"d": args.d, "n": args.n, **params}, {"class": ser_class(result)})
+    else:
+        print_class(result, args.diagrams)
+    return 0
+
+
+def cmd_pieri(args) -> int:
+    shape = _shape(args)
+    lam = parse_box_partition(args.lam, shape)
+    return _emit_product(args, "chow.pieri", {"partition": list(lam), "m": args.m},
+                         pieri(schubert(shape, lam), args.m))
+
+
+def cmd_multiply(args) -> int:
+    shape = _shape(args)
+    lam, mu = parse_box_partition(args.lam, shape), parse_box_partition(args.mu, shape)
+    return _emit_product(args, "chow.multiply", {"lam": list(lam), "mu": list(mu)},
+                         multiply(schubert(shape, lam), schubert(shape, mu)))
+
+
+def cmd_reduce(args) -> int:
+    shape = _shape(args)
     element = parse_class(shape, args.cls)
     try:
         rep, is_zero = reduce_mod_h(element)
     except NonHomogeneousError as exc:
         raise UsageError(str(exc)) from None
     if args.json:
-        emit_json("chow.reduce", {**params, "class": ser_class(element)},
+        emit_json("chow.reduce", {"d": args.d, "n": args.n, "class": ser_class(element)},
                   {"representative": ser_class(rep), "is_zero": is_zero})
     else:
         print(f"representative: {rep}")
@@ -324,25 +335,23 @@ def cmd_bundle(args) -> int:
     return 0
 
 
-def cmd_pfaffian(args) -> int:
-    if args.pf_op == "classify":
-        try:
-            c = classify_B(args.m, args.n2)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        if args.json:
-            emit_json("pfaffian.classify", {"m": args.m, "n": args.n2}, {
-                "generators": str(c.generators),
-                "height": str(c.height),
-                "is_complete_intersection": c.is_complete_intersection,
-                "is_roberts": c.is_roberts,
-            })
-        else:
-            print(f"B_{c.m}({c.n}): generators = {c.generators}, height = {c.height}")
-            print(f"CI: {'yes' if c.is_complete_intersection else 'no'}; "
-                  f"Roberts: {'yes' if c.is_roberts else 'no'}")
-        return 0 if c.is_roberts else 1
-    # eval
+def cmd_classify(args) -> int:
+    c = _checked(classify_B, args.m, args.n2)
+    if args.json:
+        emit_json("pfaffian.classify", {"m": args.m, "n": args.n2}, {
+            "generators": str(c.generators),
+            "height": str(c.height),
+            "is_complete_intersection": c.is_complete_intersection,
+            "is_roberts": c.is_roberts,
+        })
+    else:
+        print(f"B_{c.m}({c.n}): generators = {c.generators}, height = {c.height}")
+        print(f"CI: {'yes' if c.is_complete_intersection else 'no'}; "
+              f"Roberts: {'yes' if c.is_roberts else 'no'}")
+    return 0 if c.is_roberts else 1
+
+
+def cmd_eval(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             tokens = fh.read().split()
@@ -361,11 +370,7 @@ def cmd_pfaffian(args) -> int:
     if extra:
         raise UsageError(f"{extra} extra token(s) after the {k}x{k} entries")
     rows = [vals[i * k : (i + 1) * k] for i in range(k)]
-    try:
-        z = AntisymmetricMatrix.from_rows(rows)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    pf = pfaffian(z)
+    pf = pfaffian(_checked(AntisymmetricMatrix.from_rows, rows))
     det = determinant(rows)
     if args.json:
         emit_json("pfaffian.eval", {"file": args.file, "size": k}, {
@@ -383,88 +388,42 @@ def cmd_pfaffian(args) -> int:
 # -- argument wiring ----------------------------------------------------------
 
 
-def _add_shared(p, *, force=True, shape=True, diagrams=False) -> None:
-    """Adds the arguments that several commands share, each declared only
-    here, in this order: --json, --force, d n, --diagrams."""
-    p.add_argument("--json", action="store_true")
-    if force:
-        p.add_argument("--force", action="store_true", help=f"lift the n <= {GUARD_N} guard")
-    if shape:
-        p.add_argument("d", type=int)
-        p.add_argument("n", type=int)
-    if diagrams:
-        p.add_argument("--diagrams", action="store_true")
-
-
-def _roberts_args(p) -> None:
-    _add_shared(p)
-    p.add_argument("--verdict-only", action="store_true",
-                   help="stop at the first nonzero component")
-
-
-def _table_args(p) -> None:
-    _add_shared(p, shape=False)
-    p.add_argument("max_n", type=int)
-
-
-def _basis_args(p) -> None:
-    _add_shared(p, diagrams=True)
-    p.add_argument("--degree", type=int, required=True)
-
-
-def _pieri_args(p) -> None:
-    _add_shared(p, diagrams=True)
-    p.add_argument("lam", metavar="partition")
-    p.add_argument("m", type=int)
-
-
-def _multiply_args(p) -> None:
-    _add_shared(p, diagrams=True)
-    p.add_argument("lam")
-    p.add_argument("mu")
-
-
-def _reduce_args(p) -> None:
-    _add_shared(p)
-    p.add_argument("--class", dest="cls", action="append", required=True,
-                   metavar="TERMS", help='e.g. "[2]:1" or "[2,1]:-3/4 [1,1]:2"')
-
-
-def _bundle_args(p) -> None:
-    _add_shared(p)
-    which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--todd", dest="which", action="store_const", const="todd")
-    which.add_argument("--chern", dest="which", action="store_const", const="chern")
-    which.add_argument("--ch", dest="which", action="store_const", const="ch")
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--mod-h", action="store_true", help="print components reduced mod h")
-
-
-def _classify_args(p) -> None:
-    _add_shared(p, force=False, shape=False)
-    p.add_argument("m", type=int)
-    p.add_argument("n2", type=int, metavar="n")
-
-
-def _eval_args(p) -> None:
-    _add_shared(p, force=False, shape=False)
-    p.add_argument("file")
-
+# The arguments that several leaves share, each declared only here. An
+# argument is its name and the keywords of `add_argument`.
+INT, FLAG = {"type": int}, {"action": "store_true"}
+JSON = ("--json", FLAG)
+FORCE = ("--force", {**FLAG, "help": f"lift the n <= {GUARD_N} guard"})
+SHAPE = (JSON, FORCE, ("d", INT), ("n", INT))  # how every d n command begins
+DIAGRAMS = ("--diagrams", FLAG)
 
 # The leaf commands, in --help order: the words that name each one, mapped to
-# its help line, the function that runs it and the function that declares its
-# arguments. The full tree and every leaf's direct grammar are read from here.
+# its help line, the function that runs it and its arguments, in order; a
+# nested tuple of arguments is a required mutually exclusive group. This is
+# the one declaration of each leaf: `build_parser` adds these arguments to
+# the leaf's subparser, and `_LeafGrammar` reads the same ones.
 LEAVES = {
-    ("roberts",): ("Roberts-ring verdict for the cone over G_d(n)", cmd_roberts, _roberts_args),
-    ("table",): ("verdict grid for all shapes up to max_n", cmd_table, _table_args),
-    ("chow", "basis"): ("graded basis partitions", cmd_chow, _basis_args),
-    ("chow", "pieri"): ("multiply a Schubert class by sigma_m", cmd_chow, _pieri_args),
-    ("chow", "multiply"): ("product of two Schubert classes", cmd_chow, _multiply_args),
-    ("chow", "reduce"): ("canonical representative modulo h", cmd_chow, _reduce_args),
-    ("bundle",): ("tangent-bundle classes on G_d(n)", cmd_bundle, _bundle_args),
-    ("pfaffian", "classify"): ("complete-intersection / Roberts flags for B_m(n)",
-                               cmd_pfaffian, _classify_args),
-    ("pfaffian", "eval"): ("Pfaffian and determinant of a matrix file", cmd_pfaffian, _eval_args),
+    ("roberts",): ("Roberts-ring verdict for the cone over G_d(n)", cmd_roberts, (
+        *SHAPE, ("--verdict-only", {**FLAG, "help": "stop at the first nonzero component"}))),
+    ("table",): ("verdict grid for all shapes up to max_n", cmd_table, (JSON, FORCE, ("max_n", INT))),
+    ("chow", "basis"): ("graded basis partitions", cmd_basis, (
+        *SHAPE, DIAGRAMS, ("--degree", {**INT, "required": True}))),
+    ("chow", "pieri"): ("multiply a Schubert class by sigma_m", cmd_pieri, (
+        *SHAPE, DIAGRAMS, ("lam", {"metavar": "partition"}), ("m", INT))),
+    ("chow", "multiply"): ("product of two Schubert classes", cmd_multiply, (
+        *SHAPE, DIAGRAMS, ("lam", {}), ("mu", {}))),
+    ("chow", "reduce"): ("canonical representative modulo h", cmd_reduce, (*SHAPE, (
+        "--class", {"dest": "cls", "action": "append", "required": True, "metavar": "TERMS",
+                    "help": 'e.g. "[2]:1" or "[2,1]:-3/4 [1,1]:2"'}))),
+    ("bundle",): ("tangent-bundle classes on G_d(n)", cmd_bundle, (
+        *SHAPE,
+        tuple((f"--{w}", {"dest": "which", "action": "store_const", "const": w})
+              for w in ("todd", "chern", "ch")),
+        ("--max-degree", INT),
+        ("--mod-h", {**FLAG, "help": "print components reduced mod h"}))),
+    ("pfaffian", "classify"): ("complete-intersection / Roberts flags for B_m(n)", cmd_classify, (
+        JSON, ("m", INT), ("n2", {**INT, "metavar": "n"}))),
+    ("pfaffian", "eval"): ("Pfaffian and determinant of a matrix file", cmd_eval,
+                           (JSON, ("file", {}))),
 }
 
 # The first word of a two-word leaf: its help line and the attribute that
@@ -500,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
     ops = {}
-    for path, (help_text, func, declare) in LEAVES.items():
+    for path, (help_text, func, arguments) in LEAVES.items():
         if len(path) == 1:
             p = sub.add_parser(path[0], help=help_text)
         else:
@@ -509,15 +468,25 @@ def build_parser() -> argparse.ArgumentParser:
                 group = sub.add_parser(path[0], help=group_help)
                 ops[path[0]] = group.add_subparsers(dest=dest, required=True)
             p = ops[path[0]].add_parser(path[1], help=help_text)
-        declare(p)
+        _add_arguments(p, arguments)
         p.set_defaults(func=func)
     return top
 
 
+def _add_arguments(p, arguments: tuple) -> None:
+    """Adds a leaf's arguments, as `LEAVES` declares them, to its parser or
+    to one of its groups."""
+    for entry in arguments:
+        if isinstance(entry[0], str):
+            p.add_argument(entry[0], **entry[1])
+        else:
+            _add_arguments(p.add_mutually_exclusive_group(required=True), entry)
+
+
 class _LeafGrammar:
-    """The arguments of one leaf, recorded as its declaring function adds
-    them here in place of a parser, and a reader of the argv tails that are
-    well-formed for them.
+    """The arguments of one leaf, read from its entry in `LEAVES`, the
+    declaration that `build_parser` also reads, and a reader of the argv
+    tails that are well-formed for them.
 
     A tail is well-formed when each token that starts with '-' is exactly
     one of the leaf's option strings, each option that takes a value has one
@@ -528,7 +497,7 @@ class _LeafGrammar:
     """
 
     def __init__(self, path: tuple):
-        _, func, declare = LEAVES[path]
+        _, func, arguments = LEAVES[path]
         # the values the full tree gives this leaf before reading its tail
         self.defaults = {"command": path[0], "func": func}
         if len(path) == 2:
@@ -536,31 +505,32 @@ class _LeafGrammar:
         self.options = {}      # option string -> (dest, action, type or const, slot)
         self.positionals = []  # (dest, type), in order
         self.required = set()  # the slots that must appear
-        declare(self)
+        for entry in arguments:
+            if isinstance(entry[0], str):
+                self._record(*entry, slot=entry[0])
+                continue
+            # a group's slot is its first option string, shared by its members
+            self.required.add(entry[0][0])
+            for name, spec in entry:
+                self._record(name, spec, slot=entry[0][0])
 
-    def add_argument(self, name, *, action="store", dest=None, type=str, const=None,
-                     default=None, required=False, help=None, metavar=None, slot=None):
-        """Records what `argparse.ArgumentParser.add_argument` would add, for
-        the forms the leaves use; a slot is the option string, or the group
-        that the option belongs to."""
+    def _record(self, name: str, spec: dict, slot: str) -> None:
+        """Records one argument, for the `add_argument` keywords the leaves
+        use; the slot is the option string, or the group's."""
+        action, type = spec.get("action", "store"), spec.get("type", str)
         if not name.startswith("-"):
             self.positionals.append((name, type))
             return
+        const, default = spec.get("const"), spec.get("default")
         if action == "store_true":
             action, const, default = "store_const", True, False
         elif action not in ("store", "store_const", "append"):
             raise ValueError(f"{name}: action {action!r} has no direct grammar")
-        dest, slot = dest or name.lstrip("-").replace("-", "_"), slot or name
+        dest = spec.get("dest") or name.lstrip("-").replace("-", "_")
         self.defaults[dest] = default
         self.options[name] = (dest, action, const if action == "store_const" else type, slot)
-        if required:
+        if spec.get("required"):
             self.required.add(slot)
-
-    def add_mutually_exclusive_group(self, *, required=False):
-        slot = object()
-        if required:
-            self.required.add(slot)
-        return SimpleNamespace(add_argument=partial(self.add_argument, slot=slot))
 
     def parse(self, tail: list):
         """The Namespace that the full tree gives the leaf's argv for a

@@ -40,6 +40,11 @@ class GrassmannShape(namedtuple("GrassmannShape", "d n")):
             raise ValueError(f"need 1 <= d <= n-1, got d={d}, n={n}")
         return super().__new__(cls, d, n)
 
+    @classmethod
+    def _make(cls, iterable):
+        # through `__new__` and its check; `_replace` builds its shape here
+        return cls(*iterable)
+
     @property
     def cols(self) -> int:
         """Number of box columns, n - d."""

@@ -22,6 +22,7 @@ from hypothesis import given, strategies as st
 import grasstodd.cli as cli_module
 from grasstodd import GrassmannShape, enumerate_box, from_terms, reduce_mod_h
 from grasstodd.cli import UsageError, main, parse_partition, parse_rational, ser_class
+from test_golden_argparse import ARGPARSE_LINES
 
 
 def run(capsys, *argv):
@@ -930,29 +931,7 @@ def test_closed_stdout_exits_141_without_a_traceback(argv, unbuffered, tmp_path)
     assert (out.returncode, out.stderr) == (141, b""), argv
 
 
-@pytest.mark.parametrize("argv", [
-    ["roberts", "2", "5", "--verd"],             # an abbreviation
-    ["roberts", "2", "5", "--json", "--json"],   # a repeated flag
-    ["roberts", "2", "5", "-h"],
-    ["roberts", "2", "5", "--version"],
-    ["roberts", "2", "--", "5"],
-    ["roberts", "-1", "5"],                      # a token that starts with '-'
-    ["roberts", "x", "5"],                       # a failed conversion
-    ["roberts", "2"],                            # a missing positional
-    ["roberts", "2", "5", "extra"],              # an extra positional
-    ["chow", "basis", "2", "5", "--degree=1"],
-    ["chow", "basis", "2", "5"],                 # a required option missing
-    ["chow", "basis", "2", "5", "--degree", "--json"],
-    ["chow", "basis", "2", "5", "--degree", "1", "--degree", "2"],
-    ["chow", "reduce", "2", "5", "--class", "--json"],
-    ["bundle", "2", "5"],                        # the required group missing
-    ["bundle", "2", "5", "--todd", "--chern"],   # two members of the group
-    ["bundle", "2", "5", "--todd", "--max-degree"],
-    ["bundle", "2", "5", "--ch", "--max-degree", "-1"],
-    ["bundle", "2", "5", "--todd", "--max-degree", "x"],  # a failed option conversion
-    ["chow", "basis", "2", "5", "--degree", "1.5"],
-    ["pfaffian", "eval", "-"],
-], ids=" ".join)
+@pytest.mark.parametrize("argv", ARGPARSE_LINES, ids=" ".join)
 def test_other_lines_are_left_to_argparse(argv):
     path = tuple(argv[:2]) if argv[0] in cli_module.GROUPS else tuple(argv[:1])
     assert cli_module._leaf_grammar(path).parse(argv[len(path):]) is None

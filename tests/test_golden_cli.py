@@ -31,11 +31,15 @@ MAX_N = 10
 
 
 def digest(argv: list) -> str:
-    """The first 16 hex digits of the sha256 of argv's exit code, stdout and
-    stderr, run through `main` in this process."""
+    """The first 16 hex digits of the sha256 of argv's exit code (a
+    `SystemExit` counts), stdout and stderr, run through `main` in this
+    process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     blob = f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 

@@ -27,6 +27,15 @@ def test_shape_validation():
     assert s.dim == 6
 
 
+def test_shape_make_and_replace_keep_the_check():
+    with pytest.raises(ValueError, match=r"^need 1 <= d <= n-1, got d=0, n=4$"):
+        GrassmannShape(2, 4)._replace(d=0)
+    with pytest.raises(ValueError, match=r"^need 1 <= d <= n-1, got d=5, n=3$"):
+        GrassmannShape._make((5, 3))
+    assert GrassmannShape(2, 4)._replace(n=6) == GrassmannShape(2, 6)
+    assert type(GrassmannShape._make((2, 6))) is GrassmannShape
+
+
 def test_normalize_strips_zeros_and_rejects_bad_input():
     assert normalize_partition([3, 1, 0, 0]) == (3, 1)
     assert normalize_partition(()) == ()
