@@ -18,10 +18,10 @@ class.
 
 Everything kept for a shape lives on its `Engine`: graded bases, kernel
 memos, the normal-form tables of A/(h), and the objects that higher layers
-keep there (the tangent pipelines, the tau stream, rendered command-line
-rows). `engine(shape)` serves them from one `lru_cache` of eight shapes,
-with `engine.cache_clear()` and `engine.cache_info()`. Nothing kept on an
-engine refers back to it, so a dropped engine is freed by reference
+keep there (the tangent pipelines, the tau stream, each `bundle` answer as
+its stdout text). `engine(shape)` serves them from one `lru_cache` of eight
+shapes, with `engine.cache_clear()` and `engine.cache_info()`. Nothing kept
+on an engine refers back to it, so a dropped engine is freed by reference
 counting alone.
 """
 
@@ -205,7 +205,7 @@ class Engine:
     Littlewood-Richardson rule (`pair_product`), the quotient A/(h) by
     h = sigma_1 (`quotient_dim`, `normal_forms`), and the per-shape objects
     of the higher layers, each built once under its key (`kept`): the
-    tangent pipelines and the rendered rows of the command line. Engines
+    tangent pipelines and each `bundle` answer's stdout text. Engines
     are served by the bounded cache `engine`. No kept object stores its
     engine (a pipeline looks it up by shape), so an engine is never part of
     a reference cycle.
@@ -414,21 +414,15 @@ def pieri(a: ChowElement, m: int) -> ChowElement:
 
 
 def multiply(a: ChowElement, b: ChowElement) -> ChowElement:
-    """Product of two classes; pairs of terms above the top degree are skipped."""
+    """Product of two classes; pairs of terms above the top degree give nothing."""
     _check_shapes(a, b)
-    shape = a.shape
-    product = engine(shape).pair_product
-    by_weight: dict = {}
-    for mu, cb in b.terms.items():
-        by_weight.setdefault(sum(mu), []).append((mu, cb))
+    product = engine(a.shape).pair_product
     out: dict = {}
     for lam, ca in a.terms.items():
-        for wb, bucket in by_weight.items():
-            if sum(lam) + wb <= shape.dim:
-                for mu, cb in bucket:
-                    for nu, k in product(lam, mu).items():
-                        out[nu] = out.get(nu, 0) + ca * cb * k
-    return piece(shape, out, a.den * b.den)
+        for mu, cb in b.terms.items():
+            for nu, k in product(lam, mu).items():
+                out[nu] = out.get(nu, 0) + ca * cb * k
+    return piece(a.shape, out, a.den * b.den)
 
 
 def lr_coefficient(lam, mu, nu) -> int:

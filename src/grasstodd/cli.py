@@ -22,7 +22,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 
 from . import __version__
 from .bundles import chow_pipeline
@@ -153,7 +153,8 @@ def ser_class(a: ChowElement) -> list:
     return [{"partition": list(lam), "coefficient": ser_fraction(c)} for lam, c in a.ordered()]
 
 
-def emit_json(command: str, parameters: dict, result) -> None:
+def json_line(command: str, parameters: dict, result) -> str:
+    """The canonical JSON envelope of an answer, as one line of stdout."""
     env = {
         "command": command,
         "parameters": parameters,
@@ -161,7 +162,11 @@ def emit_json(command: str, parameters: dict, result) -> None:
         "engine_version": __version__,
         "exact": True,
     }
-    print(json.dumps(env, sort_keys=True, separators=(",", ":")))
+    return json.dumps(env, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def emit_json(command: str, parameters: dict, result) -> None:
+    sys.stdout.write(json_line(command, parameters, result))
 
 
 def diagram(lam: tuple, indent: str = "  ") -> str:
@@ -294,44 +299,34 @@ def cmd_reduce(args) -> int:
 BUNDLE_CLASSES = {"todd": ("todd", "td"), "ch": ("ch_tangent", "ch"), "chern": ("chern", "c")}
 
 
-def _bundle_row(eng, which: str, k: int, mod_h: bool, render):
-    """`render` (`ser_class` or `str`) of the degree-k piece of a `bundle`
-    class on the engine's shape, or with `mod_h` of its reduction, read
-    from the shape's tau stream. The result is kept on the engine and never
-    mutated, so a repeated query renders nothing again."""
-
-    def build():
-        pipe = tau_stream(eng.shape) if mod_h else chow_pipeline(eng.shape)
-        return render(getattr(pipe, BUNDLE_CLASSES[which][0])(k))
-
-    return eng.kept((which, k, mod_h, render), build)
-
-
 def cmd_bundle(args) -> int:
     shape = _shape(args)
     cap = shape.dim if args.max_degree is None else args.max_degree
     if not 0 <= cap <= shape.dim:
         raise UsageError(f"--max-degree must lie in [0, {shape.dim}]")
-    degrees = range(1 if args.which == "chern" else 0, cap + 1)
-    row = partial(_bundle_row, engine(shape), args.which)
-    if args.json:
+    name, label = BUNDLE_CLASSES[args.which]
+
+    def build() -> str:
+        whole = getattr(chow_pipeline(shape), name)
+        reduced = getattr(tau_stream(shape), name) if args.mod_h else None
+        degrees = range(1 if args.which == "chern" else 0, cap + 1)
+        if not args.json:
+            suffix = " (reduced mod h)" if args.mod_h else ""
+            lines = [f"{label} of the tangent bundle on G_{shape.d}({shape.n}){suffix}"]
+            lines += [f"deg {k}: {reduced(k) if args.mod_h and k else whole(k)}" for k in degrees]
+            return "\n".join(lines) + "\n"
         entries = []
         for k in degrees:
-            entry = {"degree": k, "class": row(k, False, ser_class)}
+            entry = {"degree": k, "class": ser_class(whole(k))}
             if args.mod_h and k:
-                reduced = row(k, True, ser_class)
-                entry.update(is_zero=not reduced, reduced=reduced)
+                rep = ser_class(reduced(k))
+                entry.update(is_zero=not rep, reduced=rep)
             entries.append(entry)
-        emit_json(
-            f"bundle.{args.which}",
-            {"d": args.d, "n": args.n, "max_degree": cap, "mod_h": bool(args.mod_h)},
-            {"components": entries},
-        )
-    else:
-        suffix = " (reduced mod h)" if args.mod_h else ""
-        print(f"{BUNDLE_CLASSES[args.which][1]} of the tangent bundle on G_{shape.d}({shape.n}){suffix}")
-        for k in degrees:
-            print(f"deg {k}: {row(k, bool(args.mod_h and k), str)}")
+        return json_line(f"bundle.{args.which}", {"d": args.d, "n": args.n, "max_degree": cap,
+                                                  "mod_h": args.mod_h}, {"components": entries})
+
+    # the whole stdout, kept on the shape's engine: a repeat renders nothing
+    sys.stdout.write(engine(shape).kept((args.which, cap, args.mod_h, args.json), build))
     return 0
 
 

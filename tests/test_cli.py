@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -21,6 +22,7 @@ from hypothesis import given, strategies as st
 
 import grasstodd.cli as cli_module
 from grasstodd import GrassmannShape, enumerate_box, from_terms, reduce_mod_h
+from grasstodd.chow import ChowElement, engine
 from grasstodd.cli import UsageError, main, parse_partition, parse_rational, ser_class
 from test_golden_argparse import ARGPARSE_LINES
 
@@ -200,6 +202,7 @@ def test_bundle_text_todd_mod_h(capsys):
 
 
 def test_bundle_text_mod_h_builds_no_json(capsys, monkeypatch):
+    engine.cache_clear()  # so that no earlier test has kept the JSON answer below
     calls = []
     ser_class = cli_module.ser_class
     monkeypatch.setattr(cli_module, "ser_class", lambda cls: calls.append(cls) or ser_class(cls))
@@ -250,7 +253,7 @@ FRESH_RUNS = textwrap.dedent("""
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="fresh runs fork a clean process")
 def test_repeated_bundle_queries_match_fresh_processes(capsys):
-    # the second run of a query reads the rows kept on the shape's engine
+    # the second run of a query writes the answer kept on the shape's engine
     queries = bundle_queries([(2, 6), (3, 7), (3, 8), (4, 8)])
     fresh = subprocess.run([sys.executable, "-c", FRESH_RUNS], input=json.dumps(queries),
                            capture_output=True, text=True, timeout=300)
@@ -260,6 +263,22 @@ def test_repeated_bundle_queries_match_fresh_processes(capsys):
         for argv, expected in zip(queries, want):
             code, out, _ = run(capsys, *argv)
             assert (code, out) == expected, argv
+
+
+def test_repeated_bundle_query_renders_nothing(capsys, monkeypatch):
+    engine.cache_clear()
+    queries = bundle_queries([(3, 6)])
+    first = [run(capsys, *argv) for argv in queries]
+    calls = []
+    for owner, name in ((cli_module, "ser_class"), (json, "dumps"), (ChowElement, "__str__")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, **kw: calls.append(a) or real(*a, **kw))
+    assert [run(capsys, *argv) for argv in queries] == first
+    assert calls == []
+    kept = {key: value for key, value in engine(GrassmannShape(3, 6))._kept.items()
+            if isinstance(key, tuple)}
+    assert len(kept) == len(queries)
+    assert all(type(value) is str and not gc.is_tracked(value) for value in kept.values())
 
 
 def test_bundle_max_degree_validation(capsys):
