@@ -4,11 +4,12 @@ Chern classes and Chern characters of the quotient bundle Q, the subbundle
 S and its dual, and of the tangent bundle T = S* (x) Q, together with the
 Todd class of the tangent bundle — everything as exact Schubert-basis classes.
 
-`TangentPipeline` builds these classes one degree at a time from the
-power-sum action of the Chern characters. `chow_pipeline(shape)` is its
-instance on the Chow ring, kept on the shape's engine (`chow.Engine`), and
-every constructor here reads a prefix of its degrees; `cone.TauStream` is
-the subclass whose classes are reduced modulo h, kept on the same engine.
+The characters of S, S* and Q have one closed form, m! ch_m = +-p_m: one
+Murnaghan-Nakayama step on the unit per degree (`_character`).
+`TangentPipeline` builds the classes of T from p_m one degree at a time;
+`chow_pipeline(shape)` is its instance on the Chow ring, and
+`cone.TauStream` the subclass whose classes are reduced modulo h. The
+shape's engine (`chow.Engine`) keeps the characters and both pipelines.
 
 Chern classes and characters are `BundleClass`es, immutable named tuples
 each equal to the tuple of its fields. All constructors but
@@ -63,11 +64,11 @@ class TangentPipeline:
     with w_j = j a_j for td = exp(sum_j a_j j! ch_j(T)) and
     w_j = (-1)^(j-1) for the Chern classes (Newton's identities).
 
-    Each sequence (`todd`, `chern`, `ch_tangent`, `ch_s_dual`, `ch_q`,
-    `ch_s`) maps a degree to its homogeneous `ChowElement`, built once as
-    an integer piece (a {partition: int} dict over one denominator) by the
-    method of the same name with a leading underscore, and kept in one memo
-    under (that method's name, degree). A degree where `vanishes(k)` holds
+    Each sequence (`todd`, `chern`, `ch_tangent`) maps a degree to its
+    homogeneous `ChowElement`, built once as an integer piece (a
+    {partition: int} dict over one denominator) by the method of the same
+    name with a leading underscore, and kept in one memo under (that
+    method's name, degree). A degree where `vanishes(k)` holds
     is zero in every sequence with no work, and the recurrence skips the
     terms whose operator T_j lies in such a degree; every piece of degree
     k >= 1 passes through `reduce`. Here degrees above t vanish and `reduce`
@@ -108,9 +109,6 @@ class TangentPipeline:
     todd = partialmethod(_element, "_todd")
     chern = partialmethod(_element, "_chern")
     ch_tangent = partialmethod(_element, "_ch_tangent")
-    ch_s_dual = partialmethod(_element, "_ch_s_dual")
-    ch_q = partialmethod(_element, "_ch_q")
-    ch_s = partialmethod(_element, "_ch_s")
 
     def _todd(self, k: int) -> tuple:
         if k == 0:
@@ -130,21 +128,6 @@ class TangentPipeline:
         if m == 0:
             return {(): self.shape.dim}, 1
         return self._tangent([(m, 1, _UNIT)]), factorial(m)
-
-    def _ch_s_dual(self, m: int) -> tuple:
-        return self._character(self.shape.d, m, 1)
-
-    def _ch_q(self, m: int) -> tuple:
-        return self._character(self.shape.cols, m, (-1) ** (m + 1))
-
-    def _ch_s(self, m: int) -> tuple:
-        return self._character(self.shape.d, m, (-1) ** m)  # ch_m(S) = (-1)^m ch_m(S*)
-
-    def _character(self, rank: int, m: int, sign: int) -> tuple:
-        """Piece m of the character with m! ch_m = sign p_m for m >= 1."""
-        if m == 0:
-            return {(): rank}, 1
-        return _apply(self.engine.power_sum, _UNIT, m, sign, {}), factorial(m)
 
     def _tangent(self, parts) -> dict:
         """sum c T_j terms over the (j, c, terms) of `parts`, j >= 1, for the
@@ -226,8 +209,8 @@ def _cap(shape: GrassmannShape, max_degree: int | None) -> int:
     return shape.dim if max_degree is None else min(max_degree, shape.dim)
 
 
-def _bundle_class(shape: GrassmannShape, rank: int, piece, max_degree) -> BundleClass:
-    return BundleClass(shape, rank, tuple(piece(m) for m in range(_cap(shape, max_degree) + 1)))
+def _bundle_class(shape: GrassmannShape, rank: int, part, max_degree) -> BundleClass:
+    return BundleClass(shape, rank, tuple(part(m) for m in range(_cap(shape, max_degree) + 1)))
 
 
 def chern_Q(shape: GrassmannShape) -> BundleClass:
@@ -235,19 +218,29 @@ def chern_Q(shape: GrassmannShape) -> BundleClass:
     return _bundle_class(shape, shape.cols, partial(sigma, shape), shape.cols)
 
 
+def _character(shape: GrassmannShape, rank: int, signs: tuple, max_degree) -> BundleClass:
+    """The character of a rank-`rank` bundle with m! ch_m = signs[m % 2] p_m
+    for m >= 1, every degree built on the first query and kept on the engine."""
+    cap, eng = _cap(shape, max_degree), engine(shape)
+    parts = eng.kept(("character", rank, signs), lambda: (piece(shape, {(): rank}, 1), *(
+        piece(shape, _apply(eng.power_sum, _UNIT, m, signs[m % 2], {}), factorial(m))
+        for m in range(1, shape.dim + 1))))
+    return BundleClass(shape, rank, parts[: cap + 1])
+
+
 def ch_Q(shape: GrassmannShape, max_degree: int | None = None) -> BundleClass:
     """Chern character of Q: m! ch_m(Q) = (-1)^(m+1) p_m, by the Murnaghan-Nakayama step."""
-    return _bundle_class(shape, shape.cols, chow_pipeline(shape).ch_q, max_degree)
+    return _character(shape, shape.cols, (-1, 1), max_degree)
 
 
 def ch_S(shape: GrassmannShape, max_degree: int | None = None) -> BundleClass:
     """Chern character of S: m! ch_m(S) = (-1)^m p_m, by the Murnaghan-Nakayama step."""
-    return _bundle_class(shape, shape.d, chow_pipeline(shape).ch_s, max_degree)
+    return _character(shape, shape.d, (1, -1), max_degree)
 
 
 def ch_S_dual(shape: GrassmannShape, max_degree: int | None = None) -> BundleClass:
     """Chern character of S*: m! ch_m(S*) = p_m, by the Murnaghan-Nakayama step."""
-    return _bundle_class(shape, shape.d, chow_pipeline(shape).ch_s_dual, max_degree)
+    return _character(shape, shape.d, (1, 1), max_degree)
 
 
 def ch_tangent(shape: GrassmannShape, max_degree: int | None = None) -> BundleClass:

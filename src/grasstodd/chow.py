@@ -205,10 +205,10 @@ class Engine:
     Littlewood-Richardson rule (`pair_product`), the quotient A/(h) by
     h = sigma_1 (`quotient_dim`, `normal_forms`), and the per-shape objects
     of the higher layers, each built once under its key (`kept`): the
-    tangent pipelines and each `bundle` answer's stdout text. Engines
-    are served by the bounded cache `engine`. No kept object stores its
-    engine (a pipeline looks it up by shape), so an engine is never part of
-    a reference cycle.
+    tangent pipelines, the characters of S, S* and Q, and each `bundle`
+    answer's stdout text. Engines are served by the bounded cache `engine`.
+    No kept object stores its engine (a pipeline looks it up by shape), so
+    an engine is never part of a reference cycle.
 
     Memo values are never mutated once stored; a kept pipeline only adds
     degrees to its own memo.

@@ -76,6 +76,18 @@ def parse_partition(text: str) -> tuple:
     return _checked(normalize_partition, tuple(map(int, parts)))
 
 
+def parse_int(text: str) -> int:
+    """An integer argument: an optional '-', then 1 to MAX_DIGITS ASCII
+    digits. `int` would also read '+', spaces, '_' and other scripts' digits."""
+    digits = text.removeprefix("-")
+    if len(digits) > MAX_DIGITS or not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"malformed integer {text!r}")
+    return int(text)
+
+
+parse_int.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+
+
 def parse_box_partition(text: str, shape: GrassmannShape) -> tuple:
     """A partition argument that must fit the box of the shape."""
     lam = parse_partition(text)
@@ -385,7 +397,7 @@ def cmd_eval(args) -> int:
 
 # The arguments that several leaves share, each declared only here. An
 # argument is its name and the keywords of `add_argument`.
-INT, FLAG = {"type": int}, {"action": "store_true"}
+INT, FLAG = {"type": parse_int}, {"action": "store_true"}
 JSON = ("--json", FLAG)
 FORCE = ("--force", {**FLAG, "help": f"lift the n <= {GUARD_N} guard"})
 SHAPE = (JSON, FORCE, ("d", INT), ("n", INT))  # how every d n command begins

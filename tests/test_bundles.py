@@ -35,6 +35,7 @@ from grasstodd import (
 )
 from grasstodd.bundles import chow_pipeline
 from grasstodd.chow import engine
+from grasstodd.cone import TauStream
 from oracles import eager_tangent_classes
 from test_chow import assert_clean
 from testbed import chern_S_inverse_series, exp_graded, graded_context, power_sums_from_elementary
@@ -264,6 +265,27 @@ def test_warm_repeat_does_no_arithmetic(monkeypatch):
     calls.clear()
     assert [fn(s, cap) for fn, cap in queries] == first
     assert calls == []
+    engine.cache_clear()
+
+
+def test_pipeline_holds_only_the_tangent_sequences(monkeypatch):
+    # the characters of S, S* and Q are one closed form each, kept on the
+    # engine as a tuple of classes; no pipeline is built for them, and
+    # neither pipeline has a sequence for them
+    built = []
+    init = bundles_module.TangentPipeline.__init__
+    monkeypatch.setattr(bundles_module.TangentPipeline, "__init__",
+                        lambda self, shape: built.append(shape) or init(self, shape))
+    s = GrassmannShape(3, 7)
+    engine.cache_clear()
+    for fn in (ch_Q, ch_S, ch_S_dual):
+        assert fn(s, 2).parts == fn(s).parts[:3]
+    assert built == []
+    kept = list(engine(s)._kept.values())
+    assert len(kept) == 3
+    assert all(type(y) is chow_module.ChowElement for parts in kept for y in parts)
+    for cls in (bundles_module.TangentPipeline, TauStream):
+        assert not [name for name in ("ch_q", "ch_s", "ch_s_dual") if hasattr(cls, name)]
     engine.cache_clear()
 
 

@@ -287,6 +287,27 @@ def test_bundle_max_degree_validation(capsys):
     assert "max-degree" in err
 
 
+def test_integer_arguments_take_the_form_of_partition_parts(capsys):
+    # int alone reads '_' separators, other scripts' digits, spaces and '+',
+    # all of which a partition part refuses
+    for argv, word in [
+        (["roberts", "2", "1_0"], "1_0"),
+        (["roberts", "\u0662", "\u0665"], "\u0662"),
+        (["chow", "basis", "2", "5", "--degree", " 3"], " 3"),
+        (["pfaffian", "classify", "1", "+5"], "+5"),
+        (["table", "1" * 4301], "1" * 4301),
+    ]:
+        path = tuple(argv[:2]) if argv[0] in cli_module.GROUPS else tuple(argv[:1])
+        assert cli_module._leaf_grammar(path).parse(argv[len(path):]) is None, argv
+        code, out, err = parse_outcome(main, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("usage: ") and err.endswith(f": invalid int value: {word!r}\n"), argv
+    # a negative value is still a value, and reaches its range check
+    assert run(capsys, "roberts", "-1", "5")[0::2] == (2, "error: need 1 <= d <= n-1, got d=-1, n=5\n")
+    assert run(capsys, "bundle", "2", "4", "--todd", "--max-degree", "-1")[0::2] == (
+        2, "error: --max-degree must lie in [0, 4]\n")
+
+
 def test_pfaffian_eval_text(tmp_path, capsys):
     f = tmp_path / "z.txt"
     f.write_text("4\n0 2 3 5\n-2 0 7 11\n-3 -7 0 13\n-5 -11 -13 0\n")
