@@ -168,7 +168,7 @@ class TangentPipeline:
         with N the numerators: one integer sum, one common denominator.
         """
         parts = []
-        for j in range(1, k + 1):
+        for j in range(k, 0, -1):  # y_(k-j) lowest first: a cold query recurses a bounded depth
             w = weight(j)
             if w and not self.vanishes(j):
                 y = self._element(name, k - j)

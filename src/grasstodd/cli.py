@@ -36,7 +36,7 @@ from .chow import (
     reduce_mod_h,
     schubert,
 )
-from .cone import roberts_verdict, tau_stream, verdict_table
+from .cone import roberts_verdict, verdict_table
 from .partitions import GrassmannShape, enumerate_box, fits_box, normalize_partition
 from .pfaffian import AntisymmetricMatrix, classify_B, determinant, pfaffian
 
@@ -320,19 +320,19 @@ def cmd_bundle(args) -> int:
 
     def build() -> str:
         whole = getattr(chow_pipeline(shape), name)
-        reduced = getattr(tau_stream(shape), name) if args.mod_h else None
         degrees = range(1 if args.which == "chern" else 0, cap + 1)
         if not args.json:
             suffix = " (reduced mod h)" if args.mod_h else ""
             lines = [f"{label} of the tangent bundle on G_{shape.d}({shape.n}){suffix}"]
-            lines += [f"deg {k}: {reduced(k) if args.mod_h and k else whole(k)}" for k in degrees]
+            lines += [f"deg {k}: {reduce_mod_h(whole(k))[0] if args.mod_h and k else whole(k)}"
+                      for k in degrees]
             return "\n".join(lines) + "\n"
         entries = []
         for k in degrees:
             entry = {"degree": k, "class": ser_class(whole(k))}
             if args.mod_h and k:
-                rep = ser_class(reduced(k))
-                entry.update(is_zero=not rep, reduced=rep)
+                rep, is_zero = reduce_mod_h(whole(k))
+                entry.update(is_zero=is_zero, reduced=ser_class(rep))
             entries.append(entry)
         return json_line(f"bundle.{args.which}", {"d": args.d, "n": args.n, "max_degree": cap,
                                                   "mod_h": args.mod_h}, {"components": entries})

@@ -10,12 +10,12 @@ the cone is a Roberts ring exactly when every Todd component of degree
 Reduction mod h is a ring homomorphism, so the reduced components are
 computed in the quotient A/(h) itself, one degree at a time, by the same
 tangent-bundle pipeline that builds the Chow-ring classes (`TauStream`).
-Each shape has one stream, kept on its engine (`tau_stream`): report mode,
-verdict mode and `bundle --mod-h` all read it, so a degree reduced for one
-of them is reduced for all. `cone_chow_dims` reads the quotient dimensions
-from the same engine. The records returned here (`TauRecord`,
-`RobertsReport`, `ConeChowDims`, `TableEntry`) are immutable named tuples,
-each equal to the tuple of its fields.
+Each shape has one stream, kept on its engine (`tau_stream`): report mode
+and verdict mode read it, so a degree reduced for one is reduced for both.
+`cone_chow_dims` reads the quotient dimensions from the same engine. The
+records returned here (`TauRecord`, `RobertsReport`, `ConeChowDims`,
+`TableEntry`) are immutable named tuples, each equal to the tuple of its
+fields.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ class ConeChowDims(namedtuple("ConeChowDims", "shape dims")):
 
 
 def tau_stream(shape: GrassmannShape) -> TauStream:
-    """The shape's one tau stream, kept on its engine: report mode, verdict
-    mode and `bundle --mod-h` all read it."""
+    """The shape's one tau stream, kept on its engine: report mode and
+    verdict mode both read it."""
     return engine(shape).kept("tau stream", lambda: TauStream(shape))
 
 

@@ -6,6 +6,7 @@ bundle integrates to the number of Schubert cells, and Riemann-Roch for the
 Plucker line bundle reproduces the tableau count of sections.
 """
 
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -287,6 +288,24 @@ def test_pipeline_holds_only_the_tangent_sequences(monkeypatch):
     for cls in (bundles_module.TangentPipeline, TauStream):
         assert not [name for name in ("ch_q", "ch_s", "ch_s_dual") if hasattr(cls, name)]
     engine.cache_clear()
+
+
+def test_cold_deep_query_recurses_a_bounded_depth():
+    # a cold todd(k) or chern(k) builds its lower pieces lowest first, so it
+    # needs far fewer frames than three per degree below k
+    s, pipeline = GrassmannShape(1, 80), bundles_module.TangentPipeline
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        todd, chern = pipeline(s).todd(79), pipeline(s).chern(79)
+    finally:
+        sys.setrecursionlimit(limit)
+    # on P^79 the Todd class integrates to 1 and c_79 to the Euler number 80
+    assert todd == schubert(s, (79,))
+    assert chern == scale(80, schubert(s, (79,)))
 
 
 def test_tangent_operator_is_the_product_with_the_tangent_character():

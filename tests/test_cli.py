@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import grasstodd.cli as cli_module
+import grasstodd.cone as cone_module
 from grasstodd import GrassmannShape, enumerate_box, from_terms, reduce_mod_h
 from grasstodd.chow import ChowElement, engine
 from grasstodd.cli import UsageError, main, parse_partition, parse_rational, ser_class
@@ -279,6 +280,22 @@ def test_repeated_bundle_query_renders_nothing(capsys, monkeypatch):
             if isinstance(key, tuple)}
     assert len(kept) == len(queries)
     assert all(type(value) is str and not gc.is_tracked(value) for value in kept.values())
+
+
+def test_bundle_builds_no_tau_stream(capsys, monkeypatch):
+    # each reduced row of `bundle --mod-h` is `reduce_mod_h` of the row the
+    # answer prints; only `roberts` reads a shape's tau stream
+    shapes = [(3, 6), (2, 7)]
+    engine.cache_clear()
+    expected = [run(capsys, *argv) for argv in bundle_queries(shapes)]
+    engine.cache_clear()
+    built = []
+    init = cone_module.TauStream.__init__
+    monkeypatch.setattr(cone_module.TauStream, "__init__",
+                        lambda self, shape: built.append(shape) or init(self, shape))
+    assert [run(capsys, *argv) for argv in bundle_queries(shapes)] == expected
+    assert built == []
+    assert not any("tau stream" in engine(GrassmannShape(d, n))._kept for d, n in shapes)
 
 
 def test_bundle_max_degree_validation(capsys):

@@ -8,12 +8,19 @@ agree. `golden_argparse.json` pins these lines. For each argv it holds the
 digest (as in `golden_cli.json`, a `SystemExit` counting as the exit code)
 of the output of `cli.main` with COLUMNS=80, under each Python minor
 version: argparse formats some of these lines differently from one version
-to the next. On a version with no digests the test fails.
+to the next, and now and then from one patch release to the next. So an
+entry may also hold a digest under a patch release's key ("3.13.0"), where
+that release's output differs from its minor version's. The test reads the
+running patch release's key where an entry has one, and the minor
+version's otherwise. On a minor version with no digests the test fails.
 
 The digests record the output of a known-good tree. Record or refresh the
-running version's digests, keeping the others, with
+running minor version's digests, keeping the others, with
 
     PYTHONPATH=src python tests/test_golden_argparse.py
+
+and add `--patch` to record the running patch release's digests, only for
+the lines whose output differs from the minor version's digest.
 """
 
 import json
@@ -27,6 +34,7 @@ from test_golden_cli import digest
 
 GOLDEN = Path(__file__).with_name("golden_argparse.json")
 VERSION = "%d.%d" % sys.version_info[:2]
+PATCH = "%d.%d.%d" % sys.version_info[:3]
 
 # lines that no leaf's direct grammar accepts, each for a reason of its own
 ARGPARSE_LINES = [
@@ -72,17 +80,21 @@ def test_argparse_lines_match_golden_digests():
     assert [entry["argv"] for entry in golden] == commands()
     assert all(VERSION in entry["digests"] for entry in golden), (
         f"no digests recorded for Python {VERSION}; record them with this module as a script")
-    wrong = [entry["argv"] for entry, got in zip(golden, digests()) if got != entry["digests"][VERSION]]
-    assert not wrong, f"{len(wrong)} of {len(golden)} lines changed output on Python {VERSION}, e.g. {wrong[:5]}"
+    wrong = [entry["argv"] for entry, got in zip(golden, digests())
+             if got != entry["digests"].get(PATCH, entry["digests"][VERSION])]
+    assert not wrong, f"{len(wrong)} of {len(golden)} lines changed output on Python {PATCH}, e.g. {wrong[:5]}"
 
 
 if __name__ == "__main__":
+    key = PATCH if sys.argv[1:] == ["--patch"] else VERSION
     old = {json.dumps(entry["argv"]): entry["digests"] for entry in json.loads(GOLDEN.read_text())} \
         if GOLDEN.exists() else {}
-    entries = [
-        json.dumps({"argv": argv, "digests": {**old.get(json.dumps(argv), {}), VERSION: got}},
-                   sort_keys=True)
-        for argv, got in zip(commands(), digests())
-    ]
+    entries = []
+    for argv, got in zip(commands(), digests()):
+        found = dict(old.get(json.dumps(argv), {}))
+        found.pop(key, None)
+        if found.get(VERSION) != got:
+            found[key] = got
+        entries.append(json.dumps({"argv": argv, "digests": found}, sort_keys=True))
     GOLDEN.write_text("[\n" + ",\n".join(entries) + "\n]\n")
-    print(f"wrote the Python {VERSION} digests of {len(entries)} lines to {GOLDEN}")
+    print(f"wrote the Python {key} digests of {len(entries)} lines to {GOLDEN}")
