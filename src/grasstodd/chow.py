@@ -6,9 +6,9 @@ over one positive denominator (`piece`). A class is a `ChowElement`, an
 immutable named tuple equal to the tuple of its fields. Every product of
 two Schubert classes, Pieri's rule for a special class included, comes from
 one Littlewood-Richardson tableau count truncated to the box. Multiplication by
-a power sum of the Chern roots of S* is the Murnaghan-Nakayama rule; the
-tangent-bundle pipeline (`bundles.TangentPipeline`) builds the action of
-every Chern character of the tangent bundle from it.
+a power sum of the Chern roots of S* is the Murnaghan-Nakayama rule;
+`bundles._tangent` builds the action of every Chern character of the
+tangent bundle from it.
 Reduction modulo the hyperplane class h = sigma_1 is exact linear algebra
 over the integers on sparse rows: the columns of h are Murnaghan-Nakayama
 steps, eliminated to {position: int} echelon rows that are turned at once
@@ -18,8 +18,8 @@ class.
 
 Everything kept for a shape lives on its `Engine`: graded bases, kernel
 memos, the normal-form tables of A/(h), and the objects that higher layers
-keep there (the tangent pipelines, the tau stream, each `bundle` answer as
-its stdout text). `engine(shape)` serves them from one `lru_cache` of eight
+keep there (the characters, the Todd and Chern pipelines, the tau stream,
+each `bundle` answer as its stdout text). `engine(shape)` serves them from one `lru_cache` of eight
 shapes, with `engine.cache_clear()` and `engine.cache_info()`. Nothing kept
 on an engine refers back to it, so a dropped engine is freed by reference
 counting alone.
@@ -205,8 +205,9 @@ class Engine:
     Littlewood-Richardson rule (`pair_product`), the quotient A/(h) by
     h = sigma_1 (`quotient_dim`, `normal_forms`), and the per-shape objects
     of the higher layers, each built once under its key (`kept`): the
-    tangent pipelines, the characters of S, S* and Q, and each `bundle`
-    answer's stdout text. Engines are served by the bounded cache `engine`.
+    characters of S, S*, Q and T, the Chow ring's Todd and Chern pipelines
+    (one sequence each, keyed by its weight), the tau stream (the Todd
+    sequence on A/(h)), and each `bundle` answer's stdout text. Engines are served by the bounded cache `engine`.
     No kept object stores its engine (a pipeline looks it up by shape), so
     an engine is never part of a reference cycle.
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import __version__
-from .bundles import chow_pipeline
+from .bundles import ch_tangent, chern_tangent, todd_pieces
 from .chow import (
     ChowElement,
     NonHomogeneousError,
@@ -307,8 +307,8 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-# Each `bundle` class: the name of its sequence on a pipeline, and its label.
-BUNDLE_CLASSES = {"todd": ("todd", "td"), "ch": ("ch_tangent", "ch"), "chern": ("chern", "c")}
+# Each `bundle` class: the constructor of its graded pieces, and its label.
+BUNDLE_CLASSES = {"todd": (todd_pieces, "td"), "ch": (ch_tangent, "ch"), "chern": (chern_tangent, "c")}
 
 
 def cmd_bundle(args) -> int:
@@ -316,22 +316,22 @@ def cmd_bundle(args) -> int:
     cap = shape.dim if args.max_degree is None else args.max_degree
     if not 0 <= cap <= shape.dim:
         raise UsageError(f"--max-degree must lie in [0, {shape.dim}]")
-    name, label = BUNDLE_CLASSES[args.which]
+    pieces, label = BUNDLE_CLASSES[args.which]
 
     def build() -> str:
-        whole = getattr(chow_pipeline(shape), name)
+        parts = pieces(shape, cap).parts
         degrees = range(1 if args.which == "chern" else 0, cap + 1)
         if not args.json:
             suffix = " (reduced mod h)" if args.mod_h else ""
             lines = [f"{label} of the tangent bundle on G_{shape.d}({shape.n}){suffix}"]
-            lines += [f"deg {k}: {reduce_mod_h(whole(k))[0] if args.mod_h and k else whole(k)}"
+            lines += [f"deg {k}: {reduce_mod_h(parts[k])[0] if args.mod_h and k else parts[k]}"
                       for k in degrees]
             return "\n".join(lines) + "\n"
         entries = []
         for k in degrees:
-            entry = {"degree": k, "class": ser_class(whole(k))}
+            entry = {"degree": k, "class": ser_class(parts[k])}
             if args.mod_h and k:
-                rep, is_zero = reduce_mod_h(whole(k))
+                rep, is_zero = reduce_mod_h(parts[k])
                 entry.update(is_zero=is_zero, reduced=ser_class(rep))
             entries.append(entry)
         return json_line(f"bundle.{args.which}", {"d": args.d, "n": args.n, "max_degree": cap,

@@ -8,10 +8,11 @@ the cone is a Roberts ring exactly when every Todd component of degree
 1..t reduces to zero mod h.
 
 Reduction mod h is a ring homomorphism, so the reduced components are
-computed in the quotient A/(h) itself, one degree at a time, by the same
-tangent-bundle pipeline that builds the Chow-ring classes (`TauStream`).
-Each shape has one stream, kept on its engine (`tau_stream`): report mode
-and verdict mode read it, so a degree reduced for one is reduced for both.
+computed in the quotient A/(h) itself, one degree at a time: the tau stream
+(`TauStream`) is the Todd sequence of the tangent-bundle pipeline on A/(h),
+and holds nothing else. Each shape has one stream, kept on its engine
+(`tau_stream`): report mode and verdict mode read it, so a degree reduced
+for one is reduced for both.
 `cone_chow_dims` reads the quotient dimensions from the same engine. The
 records returned here (`TauRecord`, `RobertsReport`, `ConeChowDims`,
 `TableEntry`) are immutable named tuples, each equal to the tuple of its
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .bundles import TangentPipeline
+from .bundles import TangentPipeline, _todd_weight
 from .chow import engine
 from .partitions import GrassmannShape
 
@@ -54,25 +55,29 @@ class RobertsReport(namedtuple("RobertsReport", "shape cone_dim records verdict 
 
 
 class TauStream(TangentPipeline):
-    """The reduced Todd components of one shape: the tangent pipeline with
-    every class reduced mod h.
+    """The reduced Todd components of one shape: the Todd sequence of the
+    tangent pipeline on A/(h), and nothing else.
 
     Reduction mod h is a ring homomorphism, so applying j! ch_j(T) to a
     canonical representative and reducing the result gives the canonical
-    representative of the product, and tau_j is the pipeline's degree-j
-    Todd piece. Degrees are built only when a record needs them. A degree
-    with zero quotient dimension (a rank certificate, or enumeration for
-    degree 1) is zero in every sequence, with no product and no Todd work.
+    representative of the product, and tau_j is the stream's degree-j
+    piece. Degrees are built only when a record needs them. A degree with
+    zero quotient dimension (a rank certificate, or enumeration for degree
+    1) is zero, with no product and no Todd work. The hooks look the engine
+    up by shape: a stored one would make a cycle.
     """
 
+    def __init__(self, shape: GrassmannShape):
+        super().__init__(shape, _todd_weight)
+
     def vanishes(self, k: int) -> bool:
-        return self.engine.quotient_dim(k) == 0
+        return engine(self.shape).quotient_dim(k) == 0
 
     def reduce(self, k: int, terms: dict, den: int) -> tuple:
-        return self.engine.reduce(k, terms, den)
+        return engine(self.shape).reduce(k, terms, den)
 
     def record(self, j: int) -> TauRecord:
-        rep = self.todd(j)
+        rep = self(j)
         return TauRecord(j, self.shape.dim + 1 - j, rep, rep.is_zero())
 
 
@@ -106,7 +111,11 @@ def cone_chow_dims(shape: GrassmannShape) -> ConeChowDims:
 
 def tau_components(shape: GrassmannShape) -> RobertsReport:
     """Every reduced Todd component of degree 1..t, no short-circuits:
-    `roberts_verdict` in report mode."""
+    `roberts_verdict` in report mode.
+
+    Kept because `benchmarks/child.py` reads it with `getattr` and no
+    default, so every traced benchmark run needs it.
+    """
     return roberts_verdict(shape)
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import settings
 
+import grasstodd.bundles as bundles_module
 import grasstodd.chow as chow_module
 from grasstodd.bundles import TangentPipeline
 
@@ -46,12 +47,12 @@ def todd_work(monkeypatch) -> list:
     """(pipeline, k) of every Todd piece of degree k >= 1 that a pipeline
     runs the recurrence for while the test runs."""
     work = []
-    todd = TangentPipeline._todd
+    recurrence = TangentPipeline._recurrence
 
     def spy(pipe, k):
-        if k:
+        if pipe.weight is bundles_module._todd_weight:
             work.append((pipe, k))
-        return todd(pipe, k)
+        return recurrence(pipe, k)
 
-    monkeypatch.setattr(TangentPipeline, "_todd", spy)
+    monkeypatch.setattr(TangentPipeline, "_recurrence", spy)
     return work

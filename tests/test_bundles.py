@@ -26,6 +26,7 @@ from grasstodd import (
     enumerate_box,
     from_terms,
     multiply,
+    roberts_verdict,
     scale,
     schubert,
     sigma,
@@ -276,7 +277,7 @@ def test_pipeline_holds_only_the_tangent_sequences(monkeypatch):
     built = []
     init = bundles_module.TangentPipeline.__init__
     monkeypatch.setattr(bundles_module.TangentPipeline, "__init__",
-                        lambda self, shape: built.append(shape) or init(self, shape))
+                        lambda self, *args: built.append(args) or init(self, *args))
     s = GrassmannShape(3, 7)
     engine.cache_clear()
     for fn in (ch_Q, ch_S, ch_S_dual):
@@ -286,7 +287,14 @@ def test_pipeline_holds_only_the_tangent_sequences(monkeypatch):
     assert len(kept) == 3
     assert all(type(y) is chow_module.ChowElement for parts in kept for y in parts)
     for cls in (bundles_module.TangentPipeline, TauStream):
-        assert not [name for name in ("ch_q", "ch_s", "ch_s_dual") if hasattr(cls, name)]
+        names = ("ch_q", "ch_s", "ch_s_dual", "chern", "ch_tangent")
+        assert not [name for name in names if hasattr(cls, name)]
+    # a verdict keeps the shape's tau stream alone: no Chow-ring pipeline
+    # and no character
+    s = GrassmannShape(3, 6)
+    engine.cache_clear()
+    roberts_verdict(s)
+    assert [type(y) for y in engine(s)._kept.values()] == [TauStream]
     engine.cache_clear()
 
 
@@ -294,13 +302,14 @@ def test_cold_deep_query_recurses_a_bounded_depth():
     # a cold todd(k) or chern(k) builds its lower pieces lowest first, so it
     # needs far fewer frames than three per degree below k
     s, pipeline = GrassmannShape(1, 80), bundles_module.TangentPipeline
+    todd_weight, chern_weight = bundles_module._todd_weight, bundles_module._chern_weight
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 100)
     try:
-        todd, chern = pipeline(s).todd(79), pipeline(s).chern(79)
+        todd, chern = pipeline(s, todd_weight)(79), pipeline(s, chern_weight)(79)
     finally:
         sys.setrecursionlimit(limit)
     # on P^79 the Todd class integrates to 1 and c_79 to the Euler number 80
@@ -313,13 +322,12 @@ def test_tangent_operator_is_the_product_with_the_tangent_character():
     # n <= 8, against the textbook product; odd j checks T_j = n p_j, even j
     # the paired cross terms
     for s in (GrassmannShape(d, n) for n in range(2, 9) for d in range(1, n)):
-        pipe = chow_pipeline(s)
         ch_t = eager_tangent_classes(s)["ch_tangent"]
         basis = [lam for w in range(s.dim + 1) for lam in enumerate_box(s, w)]
         for j in range(1, s.dim + 1):
             x_j = scale(factorial(j), ch_t[j])
             for lam in basis:
-                got = from_terms(s, pipe._tangent([(j, 1, {lam: 1})]))
+                got = from_terms(s, bundles_module._tangent(s, [(j, 1, {lam: 1})]))
                 assert got == multiply(x_j, schubert(s, lam)), (s, lam, j)
 
 
@@ -336,16 +344,18 @@ def test_fractional_chern_piece_raises(monkeypatch):
 
 
 def test_pipeline_pieces_match_the_joined_classes():
-    # `bundle` prints the pipeline's pieces; same terms in the same order as
-    # the components of the public classes, so the output bytes cannot move
+    # `bundle` prints the pipelines' pieces and the capped character; same
+    # terms in the same order as the components of the public classes, so
+    # the output bytes cannot move
     for s in SHAPES:
-        pipe = chow_pipeline(s)
+        todd = chow_pipeline(s, bundles_module._todd_weight)
+        chern = chow_pipeline(s, bundles_module._chern_weight)
         td, cht, ct = todd_tangent(s), ch_tangent(s), chern_tangent(s)
         for k in range(s.dim + 1):
             for piece, want in (
-                (pipe.todd(k), td.component(k)),
-                (pipe.ch_tangent(k), cht.component(k)),
-                (pipe.chern(k), ct.component(k)),
+                (todd(k), td.component(k)),
+                (ch_tangent(s, k).component(k), cht.component(k)),
+                (chern(k), ct.component(k)),
             ):
                 assert_clean(piece)
                 assert piece == want and list(piece.terms) == list(want.terms), (s, k)

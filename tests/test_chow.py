@@ -44,6 +44,7 @@ from grasstodd import (
     unit,
     zero,
 )
+import grasstodd.bundles as bundles_module
 import grasstodd.chow as chow_module
 from grasstodd.bundles import TangentPipeline, chow_pipeline
 from grasstodd.chow import Engine, combine, engine, term_order
@@ -646,20 +647,19 @@ def test_held_pipelines_outlive_their_engine():
     # reading more degrees builds on a new one, to the same pieces
     s = GrassmannShape(3, 6)
     engine.cache_clear()
-    pipe, stream = chow_pipeline(s), tau_stream(s)
-    low = [(pipe.todd(k), pipe.chern(k), stream.todd(k)) for k in range(3)]
+    todd_weight, chern_weight = bundles_module._todd_weight, bundles_module._chern_weight
+    todd, chern, stream = chow_pipeline(s, todd_weight), chow_pipeline(s, chern_weight), tau_stream(s)
+    low = [(todd(k), chern(k), stream(k)) for k in range(3)]
     dropped = weakref.ref(engine(s))
     for n in range(2, 2 + engine.cache_info().maxsize):  # eight other shapes
         engine(GrassmannShape(1, n))
     assert dropped() is None
-    fresh, fresh_stream = TangentPipeline(s), TauStream(s)
-    assert low == [(fresh.todd(k), fresh.chern(k), fresh_stream.todd(k)) for k in range(3)]
+    fresh = TangentPipeline(s, todd_weight), TangentPipeline(s, chern_weight), TauStream(s)
+    assert low == [tuple(y(k) for y in fresh) for k in range(3)]
     for k in range(s.dim + 1):
-        assert pipe.todd(k) == fresh.todd(k), k
-        assert pipe.chern(k) == fresh.chern(k), k
-        assert pipe.ch_tangent(k) == fresh.ch_tangent(k), k
-        assert stream.todd(k) == fresh_stream.todd(k), k
-    assert chow_pipeline(s) is not pipe  # kept on the new engine, which did not have it
+        assert (todd(k), chern(k), stream(k)) == tuple(y(k) for y in fresh), k
+    # kept on the new engine, which did not have them
+    assert chow_pipeline(s, todd_weight) is not todd and chow_pipeline(s, chern_weight) is not chern
 
 
 def test_clear_frees_what_the_engines_held():
@@ -702,7 +702,8 @@ def test_dropped_engines_free_without_the_collector():
             todd_tangent(s)
             chern_tangent(s)
             multiply(schubert(s, (2, 1)), schubert(s, (2, 1)))
-            refs += map(weakref.ref, (engine(s), tau_stream(s), chow_pipeline(s)))
+            refs += map(weakref.ref, (engine(s), tau_stream(s),
+                                      chow_pipeline(s, bundles_module._todd_weight)))
         return refs
 
     gc.disable()

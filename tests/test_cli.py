@@ -20,6 +20,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
+import grasstodd.bundles as bundles_module
 import grasstodd.cli as cli_module
 import grasstodd.cone as cone_module
 from grasstodd import GrassmannShape, enumerate_box, from_terms, reduce_mod_h
@@ -276,8 +277,9 @@ def test_repeated_bundle_query_renders_nothing(capsys, monkeypatch):
         monkeypatch.setattr(owner, name, lambda *a, real=real, **kw: calls.append(a) or real(*a, **kw))
     assert [run(capsys, *argv) for argv in queries] == first
     assert calls == []
+    # the answers, keyed (class, cap, mod_h, json); the character of T is kept too
     kept = {key: value for key, value in engine(GrassmannShape(3, 6))._kept.items()
-            if isinstance(key, tuple)}
+            if isinstance(key, tuple) and key[0] in cli_module.BUNDLE_CLASSES}
     assert len(kept) == len(queries)
     assert all(type(value) is str and not gc.is_tracked(value) for value in kept.values())
 
@@ -296,6 +298,18 @@ def test_bundle_builds_no_tau_stream(capsys, monkeypatch):
     assert [run(capsys, *argv) for argv in bundle_queries(shapes)] == expected
     assert built == []
     assert not any("tau stream" in engine(GrassmannShape(d, n))._kept for d, n in shapes)
+
+
+def test_fractional_chern_piece_raises_on_the_command_line(monkeypatch):
+    # `bundle --chern` reads its pieces through `chern_tangent`, so the one
+    # integrality check covers every piece it prints
+    weight = bundles_module._chern_weight
+    monkeypatch.setattr(bundles_module, "_chern_weight",
+                        lambda j: Fraction(1, 3) if j == 2 else weight(j))
+    engine.cache_clear()
+    with pytest.raises(ArithmeticError, match="denominator"):
+        main(["bundle", "2", "4", "--chern", "--json"])
+    engine.cache_clear()
 
 
 def test_bundle_max_degree_validation(capsys):

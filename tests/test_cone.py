@@ -95,7 +95,7 @@ def test_tau_stream_matches_eager_oracle(todd_work):
                 assert dict(rec.representative.ordered()) == want[j], (d, n, j)
                 assert rec.is_zero == (not want[j])
             # Todd work only where the quotient is nonzero
-            nonzero = {j for j in range(1, s.dim + 1) if stream.engine.quotient_dim(j)}
+            nonzero = {j for j in range(1, s.dim + 1) if engine(s).quotient_dim(j)}
             assert {k for pipe, k in todd_work if pipe is stream} <= nonzero, (d, n)
             assert tau_components(s).records == tuple(stream.record(j) for j in range(1, s.dim + 1))
             for rec in roberts_verdict(s, mode="verdict").records:
@@ -145,7 +145,7 @@ def test_todd_work_stops_at_top_nonzero_quotient_degree(todd_work):
     for (d, n), dims in [((2, 4), (0, 1, 0, 0)), ((3, 6), (0, 1, 1) + (0,) * 6)]:
         s = GrassmannShape(d, n)
         stream = TauStream(s)
-        assert tuple(stream.engine.quotient_dim(j) for j in range(1, s.dim + 1)) == dims
+        assert tuple(engine(s).quotient_dim(j) for j in range(1, s.dim + 1)) == dims
         assert all(stream.record(j).is_zero for j in range(1, s.dim + 1))
         worked = sorted(k for pipe, k in todd_work if pipe is stream)
         assert worked == [j for j, q in enumerate(dims, start=1) if q]

@@ -7,6 +7,7 @@ next, and compares digests. The commands, each as JSON and as text:
 
 - `roberts d n`, in report mode and with `--verdict-only`;
 - `bundle d n --todd|--ch|--chern --mod-h`;
+- `bundle d n --todd|--ch|--chern --max-degree 3`, for shapes with t >= 3;
 - for every degree 1..t, one `chow reduce` of a seeded class.
 
 The digests record the output of a known-good tree. After a change that is
@@ -55,6 +56,8 @@ def commands() -> list:
             dn = [str(d), str(n)]
             base = [["roberts", *dn], ["roberts", *dn, "--verdict-only"]]
             base += [["bundle", *dn, f"--{w}", "--mod-h"] for w in ("todd", "ch", "chern")]
+            if shape.dim >= 3:
+                base += [["bundle", *dn, f"--{w}", "--max-degree", "3"] for w in ("todd", "ch", "chern")]
             for k in range(1, shape.dim + 1):
                 basis = enumerate_box(shape, k)
                 terms = rng.sample(basis, min(len(basis), rng.randint(1, 3)))
