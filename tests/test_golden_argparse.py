@@ -30,7 +30,7 @@ from pathlib import Path
 from unittest import mock
 
 from grasstodd.cli import GROUPS, LEAVES
-from test_golden_cli import digest
+from test_golden_cli import digest, write_golden
 
 GOLDEN = Path(__file__).with_name("golden_argparse.json")
 VERSION = "%d.%d" % sys.version_info[:2]
@@ -95,6 +95,5 @@ if __name__ == "__main__":
         found.pop(key, None)
         if found.get(VERSION) != got:
             found[key] = got
-        entries.append(json.dumps({"argv": argv, "digests": found}, sort_keys=True))
-    GOLDEN.write_text("[\n" + ",\n".join(entries) + "\n]\n")
-    print(f"wrote the Python {key} digests of {len(entries)} lines to {GOLDEN}")
+        entries.append({"argv": argv, "digests": dict(sorted(found.items()))})
+    write_golden(GOLDEN, entries)

@@ -20,7 +20,7 @@ import random
 from pathlib import Path
 
 from oracles import random_antisymmetric
-from test_golden_cli import digest
+from test_golden_cli import digest, write_golden
 
 GOLDEN = Path(__file__).with_name("golden_pfaffian.json")
 SIZES = range(0, 23)
@@ -79,6 +79,5 @@ if __name__ == "__main__":
         os.chdir(tmp)
         for name, text in matrix_files():
             Path(name).write_text(text, encoding="utf-8")
-            entries.append(json.dumps({"file": name, "text": text, "digests": digests(name)}))
-    GOLDEN.write_text("[\n" + ",\n".join(entries) + "\n]\n")
-    print(f"wrote {len(entries)} entries to {GOLDEN}")
+            entries.append({"file": name, "text": text, "digests": digests(name)})
+    write_golden(GOLDEN, entries)
