@@ -3,12 +3,13 @@
 Classes are sparse rational combinations of the Schubert classes of the
 partitions in the d x (n-d) box, each one integer piece: {partition: int}
 over one positive denominator (`piece`). A class is a `ChowElement`, an
-immutable named tuple equal to the tuple of its fields. Every product of
-two Schubert classes, Pieri's rule for a special class included, comes from
-one Littlewood-Richardson tableau count truncated to the box. Multiplication by
-a power sum of the Chern roots of S* is the Murnaghan-Nakayama rule;
-`bundles._tangent` builds the action of every Chern character of the
-tangent bundle from it.
+immutable named tuple equal to the tuple of its fields; JSON reads its
+integer piece, and `ordered()` is the Fraction view for the library and for
+text output. Every product of two Schubert classes, Pieri's rule for a
+special class included, comes from one Littlewood-Richardson tableau count
+truncated to the box. Multiplication by a power sum of the Chern roots of S*
+is the Murnaghan-Nakayama rule; `bundles._tangent` builds the action of
+every Chern character of the tangent bundle from it.
 Reduction modulo the hyperplane class h = sigma_1 is exact linear algebra
 over the integers on sparse rows: the columns of h are Murnaghan-Nakayama
 steps, eliminated to {position: int} echelon rows that are turned at once
@@ -51,8 +52,9 @@ class ChowElement(namedtuple("ChowElement", "shape terms den", defaults=(1,))):
 
     `terms` maps box partitions to nonzero ints, den > 0 and gcd(den, every
     coefficient) = 1, the form `piece` gives; equal classes have equal
-    fields. The dict is never mutated after construction. Fractions appear
-    only in `coefficient()` and `ordered()`, the terms in output order.
+    fields. The dict is never mutated after construction. JSON reads the
+    piece directly; `coefficient()` and `ordered()` (the terms in output
+    order) are the Fraction view, for the library and for text output.
     An immutable named tuple: it equals the tuple (shape, terms, den), and
     `+`, `-` and `*` are the ring operations, not tuple concatenation.
     """
@@ -166,8 +168,11 @@ def unit(shape: GrassmannShape) -> ChowElement:
 
 
 def schubert(shape: GrassmannShape, lam, coeff=1) -> ChowElement:
-    """The class of a single box partition, optionally scaled."""
-    return from_terms(shape, {tuple(lam): coeff})
+    """The class of a single box partition, optionally scaled; an int
+    coefficient builds its integer piece directly, with no Fraction."""
+    if type(coeff) is not int:
+        return from_terms(shape, {tuple(lam): coeff})
+    return piece(shape, {_in_box(lam, shape): coeff}, 1)
 
 
 def sigma(shape: GrassmannShape, m: int) -> ChowElement:
@@ -182,11 +187,15 @@ def sigma(shape: GrassmannShape, m: int) -> ChowElement:
 def from_terms(shape: GrassmannShape, mapping) -> ChowElement:
     """The class of a {partition: coefficient} mapping; every partition must
     fit the box, and partitions equal after normalizing are summed."""
-    pairs = [(normalize_partition(lam), Fraction(c)) for lam, c in mapping.items()]
-    for lam, _ in pairs:
-        if not fits_box(lam, shape):
-            raise ValueError(f"partition {lam} does not fit the box of {shape}")
-    return combine(shape, pairs)
+    return combine(shape, [(_in_box(lam, shape), Fraction(c)) for lam, c in mapping.items()])
+
+
+def _in_box(lam, shape: GrassmannShape) -> Partition:
+    """The normalized partition, which must fit the box of the shape."""
+    lam = normalize_partition(lam)
+    if not fits_box(lam, shape):
+        raise ValueError(f"partition {lam} does not fit the box of {shape}")
+    return lam
 
 
 def scale(q, a: ChowElement) -> ChowElement:

@@ -23,6 +23,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 from . import __version__
 from .bundles import ch_tangent, chern_tangent, todd_pieces
@@ -35,6 +36,7 @@ from .chow import (
     pieri,
     reduce_mod_h,
     schubert,
+    term_order,
 )
 from .cone import roberts_verdict, verdict_table
 from .partitions import GrassmannShape, enumerate_box, fits_box, normalize_partition
@@ -130,13 +132,18 @@ def parse_class(shape: GrassmannShape, specs: list) -> ChowElement:
     ':' with no coefficient after it is an error.
 
     Each --class flag may carry several terms separated by whitespace or ';'.
+    An integer coefficient reaches `combine` as an int.
     """
     pairs = []
     for spec in specs:
         for chunk in spec.replace(";", " ").split():
             part, colon, coeff = chunk.partition(":")
             lam = parse_box_partition(part, shape)
-            pairs.append((lam, parse_rational(coeff) if colon else Fraction(1)))
+            try:
+                c = parse_int(coeff) if colon else 1
+            except ValueError:
+                c = parse_rational(coeff)
+            pairs.append((lam, c))
     return combine(shape, pairs)
 
 
@@ -157,12 +164,16 @@ def _shape(args) -> GrassmannShape:
 # -- serialization ------------------------------------------------------------
 
 
-def ser_fraction(q: Fraction) -> dict:
-    return {"num": str(q.numerator), "den": str(q.denominator)}
+def ser_ratio(num: int, den: int) -> dict:
+    """The rational num / den, for den > 0, in lowest terms."""
+    g = gcd(num, den)
+    return {"num": str(num // g), "den": str(den // g)}
 
 
 def ser_class(a: ChowElement) -> list:
-    return [{"partition": list(lam), "coefficient": ser_fraction(c)} for lam, c in a.ordered()]
+    """The terms in `term_order`, read from the integer piece: no Fraction."""
+    return [{"partition": list(lam), "coefficient": ser_ratio(a.terms[lam], a.den)}
+            for lam in sorted(a.terms, key=term_order)]
 
 
 def json_line(command: str, parameters: dict, result) -> str:
@@ -279,16 +290,16 @@ def _emit_product(args, command: str, params: dict, result: ChowElement) -> int:
 
 def cmd_pieri(args) -> int:
     shape = _shape(args)
-    lam = parse_box_partition(args.lam, shape)
-    return _emit_product(args, "chow.pieri", {"partition": list(lam), "m": args.m},
-                         pieri(schubert(shape, lam), args.m))
+    a = _checked(schubert, shape, parse_partition(args.lam))
+    (lam,) = a.terms
+    return _emit_product(args, "chow.pieri", {"partition": list(lam), "m": args.m}, pieri(a, args.m))
 
 
 def cmd_multiply(args) -> int:
     shape = _shape(args)
-    lam, mu = parse_box_partition(args.lam, shape), parse_box_partition(args.mu, shape)
-    return _emit_product(args, "chow.multiply", {"lam": list(lam), "mu": list(mu)},
-                         multiply(schubert(shape, lam), schubert(shape, mu)))
+    a, b = (_checked(schubert, shape, parse_partition(text)) for text in (args.lam, args.mu))
+    (lam,), (mu,) = a.terms, b.terms
+    return _emit_product(args, "chow.multiply", {"lam": list(lam), "mu": list(mu)}, multiply(a, b))
 
 
 def cmd_reduce(args) -> int:
@@ -381,8 +392,8 @@ def cmd_eval(args) -> int:
     det = determinant(rows)
     if args.json:
         emit_json("pfaffian.eval", {"file": args.file, "size": k}, {
-            "pfaffian": ser_fraction(pf),
-            "determinant": ser_fraction(det),
+            "pfaffian": ser_ratio(pf.numerator, pf.denominator),
+            "determinant": ser_ratio(det.numerator, det.denominator),
             "square_check": pf * pf == det,
         })
     else:

@@ -15,12 +15,12 @@ Partition = tuple[int, ...]
 
 def normalize_partition(parts) -> Partition:
     """Canonical form of a partition: trailing zeros dropped, order checked."""
-    out = tuple(int(p) for p in parts)
+    out = tuple(map(int, parts))
     while out and out[-1] == 0:
         out = out[:-1]
-    if any(p < 0 for p in out):
+    if out and min(out) < 0:
         raise ValueError(f"partition parts must be nonnegative: {parts}")
-    if any(out[i] < out[i + 1] for i in range(len(out) - 1)):
+    if list(out) != sorted(out, reverse=True):
         raise ValueError(f"partition parts must be weakly decreasing: {parts}")
     return out
 

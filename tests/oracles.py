@@ -438,3 +438,11 @@ def gorenstein_parity_check(shape) -> bool:
 
     report = tau_components(shape)
     return all(r.is_zero for r in report.records if r.degree % 2 == 1)
+
+
+def fraction_ser_class(a) -> list:
+    """The JSON terms of a class read through its Fraction view: each
+    coefficient a `Fraction` of `ChowElement.ordered()`, in lowest terms."""
+    return [{"partition": list(lam),
+             "coefficient": {"num": str(c.numerator), "den": str(c.denominator)}}
+            for lam, c in a.ordered()]

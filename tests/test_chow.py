@@ -11,6 +11,7 @@ points.
 import contextlib
 import gc
 import io
+import random
 import re
 import tracemalloc
 import weakref
@@ -47,7 +48,7 @@ from grasstodd import (
 import grasstodd.bundles as bundles_module
 import grasstodd.chow as chow_module
 from grasstodd.bundles import TangentPipeline, chow_pipeline
-from grasstodd.chow import Engine, combine, engine, term_order
+from grasstodd.chow import ChowElement, Engine, combine, engine, piece, term_order
 from grasstodd.cli import print_class, ser_class
 from grasstodd.cone import TauStream, tau_stream
 from oracles import (
@@ -56,6 +57,7 @@ from oracles import (
     eager_h_echelons,
     eager_normal_forms,
     eager_tau,
+    fraction_ser_class,
     gaussian_binomial,
     giambelli_expand,
     giambelli_pieri_product,
@@ -198,6 +200,43 @@ def test_rational_coefficients_round_trip(shape, data):
     q = data.draw(st.fractions(min_value=-20, max_value=20, max_denominator=12))
     assert from_terms(shape, dict(a.ordered())) == a
     assert scale(q, a) + scale(1 - q, a) == a
+
+
+def test_ser_class_matches_the_fraction_view():
+    # seeded integer pieces on every shape with n <= 8: denominators above 1,
+    # negative terms, terms that cancel, and coefficients sharing a factor
+    # with the denominator in a piece that was never normalized
+    rng = random.Random(28)
+    seen_den = 0
+    for shape in SMALL_SHAPES:
+        basis = [lam for k in range(shape.dim + 1) for lam in enumerate_box(shape, k)]
+        for _ in range(12):
+            den = rng.randint(2, 36)
+            terms = {lam: rng.randint(-24, 24) for lam in rng.sample(basis, min(len(basis), 5))}
+            a = piece(shape, terms, den)
+            cancel = piece(shape, {lam: -c for lam, c in list(terms.items())[:2]}, den)
+            raw = ChowElement(shape, {lam: c for lam, c in terms.items() if c}, den)
+            for x in (a, a + cancel, -a, raw):
+                assert ser_class(x) == fraction_ser_class(x), x
+            seen_den += a.den > 1
+    assert seen_den > len(SMALL_SHAPES)
+
+
+def test_schubert_int_coefficient_matches_from_terms():
+    for shape in SMALL_SHAPES:
+        for lam in [lam for k in range(shape.dim + 1) for lam in enumerate_box(shape, k)]:
+            for c in (1, 0, -1, -6, 35):
+                got = schubert(shape, lam + (0,), c)
+                assert got == from_terms(shape, {lam: c}) and type(got.den) is int
+        for outside in ((shape.cols + 1,), (1,) * (shape.d + 1), (1, 2)):
+            messages = set()
+            for build in (lambda: schubert(shape, outside, 3),
+                          lambda: schubert(shape, outside, Fraction(1, 2)),
+                          lambda: from_terms(shape, {outside: 3})):
+                with pytest.raises(ValueError) as info:
+                    build()
+                messages.add(str(info.value))
+            assert len(messages) == 1, messages
 
 
 @given(st.sampled_from(TINY_SHAPES), st.data())

@@ -284,6 +284,30 @@ def test_repeated_bundle_query_renders_nothing(capsys, monkeypatch):
     assert all(type(value) is str and not gc.is_tracked(value) for value in kept.values())
 
 
+def test_warm_queries_build_no_fraction(capsys, monkeypatch):
+    # a class is one integer piece from argv to JSON: once a query has run,
+    # its repeat constructs no Fraction
+    queries = [
+        ["chow", "multiply", "4", "8", "[2,1]", "[3,2,1]", "--json"],
+        ["chow", "multiply", "3", "6", "[1]", "[2]", "--json"],
+        ["chow", "pieri", "3", "7", "[3,1]", "2", "--json"],
+        ["chow", "pieri", "2", "5", "[2,1]", "0", "--json"],
+        ["chow", "reduce", "3", "6", "--class", "[2,1]:3 [3]:-2;[1,1,1]", "--json"],
+        ["roberts", "3", "6", "--json"],
+        ["roberts", "2", "5", "--json"],  # nonzero representatives
+        ["bundle", "3", "6", "--todd", "--json"],
+    ]
+    first = [run(capsys, *argv) for argv in queries]
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **kw: built.append(a) or new(cls, *a, **kw))
+    assert [run(capsys, *argv) for argv in queries] == first
+    assert built == []
+    # the spy sees a coefficient that is not an integer
+    run(capsys, "chow", "reduce", "3", "6", "--class", "[2,1]:1/2", "--json")
+    assert built
+
+
 def test_bundle_builds_no_tau_stream(capsys, monkeypatch):
     # each reduced row of `bundle --mod-h` is `reduce_mod_h` of the row the
     # answer prints; only `roberts` reads a shape's tau stream

@@ -45,6 +45,33 @@ def test_normalize_strips_zeros_and_rejects_bad_input():
         normalize_partition([2, -1])
 
 
+@pytest.mark.parametrize("parts, want", [
+    ((3, 1, 0, 0), (3, 1)),
+    ((0, 0), ()),
+    ([], ()),
+    ((2.0, 1), (2, 1)),
+    ((2, 2, 1), (2, 2, 1)),
+])
+def test_normalize_partition_results(parts, want):
+    got = normalize_partition(parts)
+    assert got == want and type(got) is tuple and all(type(p) is int for p in got)
+
+
+@pytest.mark.parametrize("parts, message", [
+    ((2, -1), "partition parts must be nonnegative: (2, -1)"),
+    ([2, -1, 0], "partition parts must be nonnegative: [2, -1, 0]"),
+    ((0, -1), "partition parts must be nonnegative: (0, -1)"),
+    ((1, 2), "partition parts must be weakly decreasing: (1, 2)"),
+    ((3, 0, 1), "partition parts must be weakly decreasing: (3, 0, 1)"),
+    ((-1, 2), "partition parts must be nonnegative: (-1, 2)"),
+])
+def test_normalize_partition_messages(parts, message):
+    # each message names the parts as the caller gave them
+    with pytest.raises(ValueError) as info:
+        normalize_partition(parts)
+    assert str(info.value) == message
+
+
 def test_fits_box():
     s = GrassmannShape(2, 5)
     assert fits_box((3, 3), s)
