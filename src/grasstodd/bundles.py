@@ -26,20 +26,20 @@ from fractions import Fraction
 from functools import cache, partial
 from math import comb, factorial, lcm
 
-from .chow import ChowElement, combine, engine, piece, sigma, zero
+from .chow import ChowElement, engine, piece, sigma, zero
 from .partitions import GrassmannShape
 from .series import todd_log_coeff
 
 
-class BundleClass(namedtuple("BundleClass", "shape rank parts")):
-    """Graded class of a rank-`rank` bundle: Chern classes, Chern character
-    or Todd class.
+class BundleClass(namedtuple("BundleClass", "shape parts")):
+    """Graded class of a bundle: Chern classes, Chern character or Todd
+    class.
 
     parts[k] is the degree-k piece for k = 0..cap, each homogeneous of
     degree k or zero: the unit c_0 = td_0 = 1 for Chern and Todd classes,
-    rank * unit for the character. Degrees past the stored ones read as zero. Index the
-    pieces through `parts` or `component`: the class itself is the tuple
-    (shape, rank, parts).
+    the bundle's rank times the unit for the character. Degrees past the
+    stored ones read as zero. Index the pieces through `parts` or
+    `component`: the class itself is the tuple (shape, parts).
     """
 
     __slots__ = ()
@@ -180,25 +180,26 @@ def _cap(shape: GrassmannShape, max_degree: int | None) -> int:
     return shape.dim if max_degree is None else min(max_degree, shape.dim)
 
 
-def _bundle_class(shape: GrassmannShape, rank: int, part, max_degree) -> BundleClass:
-    return BundleClass(shape, rank, tuple(part(m) for m in range(_cap(shape, max_degree) + 1)))
+def _bundle_class(shape: GrassmannShape, part, max_degree) -> BundleClass:
+    return BundleClass(shape, tuple(part(m) for m in range(_cap(shape, max_degree) + 1)))
 
 
 def chern_Q(shape: GrassmannShape) -> BundleClass:
     """Chern classes of the rank-(n-d) quotient bundle: c_m = sigma_m."""
-    return _bundle_class(shape, shape.cols, partial(sigma, shape), shape.cols)
+    return _bundle_class(shape, partial(sigma, shape), shape.cols)
 
 
 def _character(shape: GrassmannShape, rank: int, signs, max_degree) -> BundleClass:
-    """The character of a rank-`rank` bundle with m! ch_m for m >= 1 one
-    operator on the unit: signs[m % 2] p_m, or T_m when `signs` is None.
-    Every degree is built on the first query and kept on the engine."""
+    """The character of a rank-`rank` bundle: rank in degree 0, and m! ch_m
+    for m >= 1 one operator on the unit, signs[m % 2] p_m, or T_m when
+    `signs` is None. Every degree is built on the first query and kept on
+    the engine under the signs."""
     cap, eng = _cap(shape, max_degree), engine(shape)
-    parts = eng.kept(("character", rank, signs), lambda: (piece(shape, {(): rank}, 1), *(
+    parts = eng.kept(("character", signs), lambda: (piece(shape, {(): rank}, 1), *(
         piece(shape, _tangent(shape, [(m, 1, _UNIT)]) if signs is None
               else _apply(eng.power_sum, _UNIT, m, signs[m % 2], {}), factorial(m))
         for m in range(1, shape.dim + 1))))
-    return BundleClass(shape, rank, parts[: cap + 1])
+    return BundleClass(shape, parts[: cap + 1])
 
 
 def ch_Q(shape: GrassmannShape, max_degree: int | None = None) -> BundleClass:
@@ -228,7 +229,7 @@ def chern_tangent(shape: GrassmannShape, max_degree: int | None = None) -> Bundl
     Every piece must come out integral; one left with a denominator raises
     ArithmeticError.
     """
-    chern = _bundle_class(shape, shape.dim, chow_pipeline(shape, _chern_weight), max_degree)
+    chern = _bundle_class(shape, chow_pipeline(shape, _chern_weight), max_degree)
     for k, y in enumerate(chern.parts):
         if y.den != 1:
             raise ArithmeticError(f"Chern piece {k} of {shape} has denominator {y.den}")
@@ -238,14 +239,16 @@ def chern_tangent(shape: GrassmannShape, max_degree: int | None = None) -> Bundl
 def todd_pieces(shape: GrassmannShape, max_degree: int | None = None) -> BundleClass:
     """The Todd class of the tangent bundle as its graded pieces td_k, the
     pipeline's Todd sequence."""
-    return _bundle_class(shape, shape.dim, chow_pipeline(shape, _todd_weight), max_degree)
+    return _bundle_class(shape, chow_pipeline(shape, _todd_weight), max_degree)
 
 
 def todd_tangent(shape: GrassmannShape, max_degree: int | None = None) -> ChowElement:
     """Todd class of the tangent bundle: exp(sum_m a_m m! ch_m), exact.
 
     Inhomogeneous, degree-0 part 1, components up to max_degree (default t),
-    joined from the pipeline's disjoint graded pieces (`todd_pieces`).
+    joined from the pipeline's disjoint graded pieces (`todd_pieces`) as one
+    integer piece over the lcm of their denominators.
     """
     pieces = todd_pieces(shape, max_degree).parts
-    return combine(shape, ((lam, Fraction(c, y.den)) for y in pieces for lam, c in y.terms.items()))
+    den = lcm(*(y.den for y in pieces))
+    return piece(shape, {lam: c * (den // y.den) for y in pieces for lam, c in y.terms.items()}, den)

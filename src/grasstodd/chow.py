@@ -143,13 +143,14 @@ def piece(shape: GrassmannShape, terms: dict, den: int) -> ChowElement:
 
 
 def combine(shape: GrassmannShape, pairs) -> ChowElement:
-    """The sum of c * [lam] over (lam, c) pairs of box partitions and
-    rational (int or Fraction) coefficients, over the lcm of their
-    denominators (`piece`)."""
+    """The sum of c * [lam] over (lam, c) pairs of partitions, each of which
+    must fit the box, and rational (int or Fraction) coefficients, over the
+    lcm of their denominators (`piece`)."""
     pairs = list(pairs)
     den = lcm(*(c.denominator for _, c in pairs))
     out: dict = {}
     for lam, c in pairs:
+        lam = _in_box(lam, shape)
         out[lam] = out.get(lam, 0) + c.numerator * (den // c.denominator)
     return piece(shape, out, den)
 
@@ -187,7 +188,7 @@ def sigma(shape: GrassmannShape, m: int) -> ChowElement:
 def from_terms(shape: GrassmannShape, mapping) -> ChowElement:
     """The class of a {partition: coefficient} mapping; every partition must
     fit the box, and partitions equal after normalizing are summed."""
-    return combine(shape, [(_in_box(lam, shape), Fraction(c)) for lam, c in mapping.items()])
+    return combine(shape, [(lam, Fraction(c)) for lam, c in mapping.items()])
 
 
 def _in_box(lam, shape: GrassmannShape) -> Partition:

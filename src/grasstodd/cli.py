@@ -39,7 +39,7 @@ from .chow import (
     term_order,
 )
 from .cone import roberts_verdict, verdict_table
-from .partitions import GrassmannShape, enumerate_box, fits_box, normalize_partition
+from .partitions import GrassmannShape, enumerate_box, normalize_partition
 from .pfaffian import AntisymmetricMatrix, classify_B, determinant, pfaffian
 
 GUARD_N = 12
@@ -90,14 +90,6 @@ def parse_int(text: str) -> int:
 parse_int.__name__ = "int"  # argparse names the type in "invalid int value: ..."
 
 
-def parse_box_partition(text: str, shape: GrassmannShape) -> tuple:
-    """A partition argument that must fit the box of the shape."""
-    lam = parse_partition(text)
-    if not fits_box(lam, shape):
-        raise UsageError(f"partition {lam} does not fit the box of {shape}")
-    return lam
-
-
 def _ascii_token(token: str, what: str) -> str:
     # int and Fraction also read '_' separators and other scripts' digits,
     # and Fraction reads '_' only from Python 3.11 on
@@ -132,19 +124,21 @@ def parse_class(shape: GrassmannShape, specs: list) -> ChowElement:
     ':' with no coefficient after it is an error.
 
     Each --class flag may carry several terms separated by whitespace or ';'.
-    An integer coefficient reaches `combine` as an int.
+    Only the syntax is read here: `combine` checks each partition against
+    the box, once every term has been read. An integer coefficient reaches
+    `combine` as an int.
     """
     pairs = []
     for spec in specs:
         for chunk in spec.replace(";", " ").split():
             part, colon, coeff = chunk.partition(":")
-            lam = parse_box_partition(part, shape)
+            lam = parse_partition(part)
             try:
                 c = parse_int(coeff) if colon else 1
             except ValueError:
                 c = parse_rational(coeff)
             pairs.append((lam, c))
-    return combine(shape, pairs)
+    return _checked(combine, shape, pairs)
 
 
 def check_guard(n: int, force: bool) -> None:

@@ -96,17 +96,12 @@ def tau_stream(shape: GrassmannShape) -> TauStream:
 def cone_chow_dims(shape: GrassmannShape) -> ConeChowDims:
     """Chow-group dimensions of the cone: cokernels of multiplication by h.
 
-    A_i is the degree-(t+1-i) piece of A/(h) for 1 <= i <= t; A_0 = 0 and
-    A_{t+1} is one-dimensional. They are the quotient dimensions of the
-    shape's engine (`chow.Engine.quotient_dim`).
+    A_i is the degree-(t+1-i) piece of A/(h), the quotient dimension of the
+    shape's engine (`chow.Engine.quotient_dim`); that is 0 above t, so
+    A_0 = 0, and 1 in degree 0, so A_{t+1} is one-dimensional.
     """
-    t = shape.dim
-    eng = engine(shape)
-    dims = [0] * (t + 2)
-    dims[t + 1] = 1
-    for i in range(1, t + 1):
-        dims[i] = eng.quotient_dim(t + 1 - i)
-    return ConeChowDims(shape, tuple(dims))
+    t, eng = shape.dim, engine(shape)
+    return ConeChowDims(shape, tuple(eng.quotient_dim(t + 1 - i) for i in range(t + 2)))
 
 
 def tau_components(shape: GrassmannShape) -> RobertsReport:

@@ -28,6 +28,27 @@ def rng(request) -> random.Random:
 
 
 @pytest.fixture
+def spy(monkeypatch):
+    """spy(owner, name, seen) wraps owner.name while the test runs: each call
+    whose arguments pass `seen` (default: every call) appends name to
+    spy.calls, one list for every wrapped name."""
+    calls = []
+
+    def spy(owner, name, seen=lambda *args: True):
+        fn = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            if seen(*args):
+                calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    spy.calls = calls
+    return spy
+
+
+@pytest.fixture
 def echelons_built(monkeypatch) -> list:
     """(shape, degree) of every h-table (`Engine.normal_forms` and
     `quotient_dim`) built while the test runs."""

@@ -49,7 +49,7 @@ import grasstodd.bundles as bundles_module
 import grasstodd.chow as chow_module
 from grasstodd.bundles import TangentPipeline, chow_pipeline
 from grasstodd.chow import ChowElement, Engine, combine, engine, piece, term_order
-from grasstodd.cli import print_class, ser_class
+from grasstodd.cli import main, print_class, ser_class
 from grasstodd.cone import TauStream, tau_stream
 from oracles import (
     beta_power_sum,
@@ -222,7 +222,7 @@ def test_ser_class_matches_the_fraction_view():
     assert seen_den > len(SMALL_SHAPES)
 
 
-def test_schubert_int_coefficient_matches_from_terms():
+def test_schubert_int_coefficient_matches_from_terms(capsys):
     for shape in SMALL_SHAPES:
         for lam in [lam for k in range(shape.dim + 1) for lam in enumerate_box(shape, k)]:
             for c in (1, 0, -1, -6, 35):
@@ -237,6 +237,14 @@ def test_schubert_int_coefficient_matches_from_terms():
                     build()
                 messages.add(str(info.value))
             assert len(messages) == 1, messages
+    # the command line reports the one box check's message, `combine`'s, and
+    # reads every term's syntax before any partition meets the box
+    shape = GrassmannShape(2, 5)
+    with pytest.raises(ValueError) as info:
+        from_terms(shape, {(4,): 1})
+    for spec, message in (("[4]:1", str(info.value)), ("[9]:1 [2]:x", "malformed rational 'x'")):
+        assert main(["chow", "reduce", "2", "5", "--class", spec]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @given(st.sampled_from(TINY_SHAPES), st.data())

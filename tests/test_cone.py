@@ -102,19 +102,8 @@ def test_tau_stream_matches_eager_oracle(todd_work):
                 assert dict(rec.representative.ordered()) == want[rec.degree], (d, n, rec.degree)
 
 
-def test_verdict_on_projective_spaces_needs_only_rank_certificates(monkeypatch, echelons_built):
-    calls = []
-
-    def spy(owner, name, seen=lambda *args: True):
-        fn = getattr(owner, name)
-
-        def wrapped(*args):
-            if seen(*args):
-                calls.append(name)
-            return fn(*args)
-
-        monkeypatch.setattr(owner, name, wrapped)
-
+def test_verdict_on_projective_spaces_needs_only_rank_certificates(spy, echelons_built):
+    calls = spy.calls
     # the h-columns are power_sum(lam, 1); any longer power sum is Todd work,
     # and a pipeline on the Chow ring itself (not a tau stream) is too
     spy(chow_module.Engine, "power_sum", lambda engine, lam, j: j > 1)

@@ -1,7 +1,10 @@
 """The package's export list matches what it defines, so no removed name
-lingers, and the records it exports are immutable slotted named tuples."""
+lingers, the records it exports are immutable slotted named tuples, and
+README's library example prints what its comments say."""
 
+import re
 import types
+from pathlib import Path
 
 import pytest
 
@@ -62,3 +65,14 @@ def test_record_constructors_keep_their_checks_and_defaults():
         GrassmannShape(n=3, d=3)
     assert GrassmannShape(n=4, d=2) == SHAPE
     assert ChowElement(SHAPE, {}).den == 1
+
+
+def test_readme_library_block_prints_its_commented_outputs(capsys):
+    # the Python block under README's "## Library", run as written: it prints
+    # the two lines that its comments give as its output
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```$", readme, re.M | re.S).group(1)
+    promised = ["[3,3] + 2*[3,2,1] + [2,2,2]", "False 2"]
+    assert all(f"# {line}" in block for line in promised)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == promised
