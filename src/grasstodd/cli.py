@@ -40,7 +40,7 @@ from .chow import (
 )
 from .cone import roberts_verdict, verdict_table
 from .partitions import GrassmannShape, enumerate_box, normalize_partition
-from .pfaffian import AntisymmetricMatrix, classify_B, determinant, pfaffian
+from .pfaffian import check_antisymmetric, classify_B, determinant_ratio, lowest_terms, pfaffian_ratio
 
 GUARD_N = 12
 MAX_DIGITS = 4300  # in one input integer: CPython's default bound on str -> int
@@ -102,8 +102,8 @@ def _ascii_token(token: str, what: str) -> str:
     return token
 
 
-def parse_rational(token: str) -> Fraction:
-    """A rational such as "-3/7", "5" or "1.5", in ASCII without '_'.
+def parse_ratio(token: str) -> tuple:
+    """A rational such as "-3/7", "5" or "1.5", in ASCII without '_', in lowest terms.
 
     `int` reads each side of the forms of `str(Fraction)`, "[+-]digits" and
     "[+-]digits/digits"; `Fraction` reads the rest. Exponent notation is refused
@@ -114,9 +114,14 @@ def parse_rational(token: str) -> Fraction:
     num, slash, den = _ascii_token(token, "rational").partition("/")
     try:
         fast = (num[1:] if num[:1] in "+-" else num).isdigit() and (den.isdigit() or not slash)
-        return Fraction(int(num), int(den or 1)) if fast else Fraction(token)
+        return lowest_terms(int(num), int(den or 1)) if fast else Fraction(token).as_integer_ratio()
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"malformed rational {token!r}") from None
+
+
+def parse_rational(token: str) -> Fraction:
+    """`parse_ratio`'s rational, as a Fraction."""
+    return Fraction(*parse_ratio(token))
 
 
 def parse_class(shape: GrassmannShape, specs: list) -> ChowElement:
@@ -170,16 +175,15 @@ def ser_class(a: ChowElement) -> list:
             for lam in sorted(a.terms, key=term_order)]
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+
+
 def json_line(command: str, parameters: dict, result) -> str:
-    """The canonical JSON envelope of an answer, as one line of stdout."""
-    env = {
-        "command": command,
-        "parameters": parameters,
-        "result": result,
-        "engine_version": __version__,
-        "exact": True,
-    }
-    return json.dumps(env, sort_keys=True, separators=(",", ":")) + "\n"
+    """The canonical JSON envelope of an answer, as one line of stdout, by the
+    process's one encoder: an envelope is a fresh tree, with no cycle to check for."""
+    env = {"command": command, "parameters": parameters, "result": result,
+           "engine_version": __version__, "exact": True}
+    return _encode(env) + "\n"
 
 
 def emit_json(command: str, parameters: dict, result) -> None:
@@ -364,6 +368,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # each entry a (num, den) pair, into pfaffian's integer cores: no Fraction but for decimals
     try:
         with open(args.file, encoding="utf-8") as fh:
             tokens = fh.read().split()
@@ -375,25 +380,25 @@ def cmd_eval(args) -> int:
         k = int(_ascii_token(tokens[0], "matrix size"))
     except ValueError as exc:
         raise UsageError(f"malformed matrix file: {exc}") from None
-    vals = [parse_rational(tok) for tok in tokens[1 : 1 + k * k]]
-    if k < 0 or len(vals) != k * k:
+    if k < 0:
+        raise UsageError(f"negative matrix size {k}")
+    vals = [parse_ratio(tok) for tok in tokens[1 : 1 + k * k]]
+    if len(vals) != k * k:
         raise UsageError(f"expected {k}x{k} entries after the size line")
     extra = len(tokens) - 1 - k * k
     if extra:
         raise UsageError(f"{extra} extra token(s) after the {k}x{k} entries")
     rows = [vals[i * k : (i + 1) * k] for i in range(k)]
-    pf = pfaffian(_checked(AntisymmetricMatrix.from_rows, rows))
-    det = determinant(rows)
+    _checked(check_antisymmetric, rows)
+    (pn, pd), (dn, dd) = pf, det = pfaffian_ratio(rows), determinant_ratio(rows)
+    square = pn * pn * dd == dn * pd * pd
     if args.json:
         emit_json("pfaffian.eval", {"file": args.file, "size": k}, {
-            "pfaffian": ser_ratio(pf.numerator, pf.denominator),
-            "determinant": ser_ratio(det.numerator, det.denominator),
-            "square_check": pf * pf == det,
-        })
+            "pfaffian": ser_ratio(*pf), "determinant": ser_ratio(*det), "square_check": square})
     else:
-        print(f"Pf  = {pf}")
-        print(f"det = {det}")
-        print(f"Pf^2 == det: {'yes' if pf * pf == det else 'no'}")
+        print(f"Pf  = {pn}" + (f"/{pd}" if pd > 1 else ""))
+        print(f"det = {dn}" + (f"/{dd}" if dd > 1 else ""))
+        print(f"Pf^2 == det: {'yes' if square else 'no'}")
     return 0
 
 

@@ -6,29 +6,41 @@ and height counts have closed forms, which settle when the ring is a
 complete intersection — and, by the classification theorem, when it is a
 Roberts ring: exactly for n = 2m or m = 1.
 
-Pfaffians and determinants of rational matrices are exact and O(k^3):
-fraction-free elimination on Python ints (a skew Bareiss step for the
-Pfaffian, Bareiss for the determinant) after one division by the cleared
-denominators. Both divide each new row by the last pivot in
-`_exact_quotients`, which checks that every division is exact. The two
-share only that check, so Pf^2 = det tests each against the other.
-`AntisymmetricMatrix` and `PfaffianClassification` are immutable named
-tuples, each equal to the tuple of its fields.
+Pfaffians and determinants are exact and O(k^3). The integer cores
+`pfaffian_ratio` (a skew Bareiss step) and `determinant_ratio` (Bareiss)
+read rows of (num, den) pairs in lowest terms, clear their own
+denominators, eliminate fraction-free and return (num, den) in lowest
+terms. Both divide each new row by the last pivot in `_exact_quotients`,
+which checks that every division is exact, and share nothing else, so
+Pf^2 = det tests each against the other. `check_antisymmetric` is the one
+validator. `pfaffian eval` calls the cores; `from_rows`, `pfaffian` and
+`determinant` are their Fraction views, for the library.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 
 from .cone import roberts_verdict
 from .partitions import GrassmannShape
 
 
+def _ratios(rows) -> list:
+    """Rows of anything `Fraction` reads, as rows of (num, den) pairs."""
+    return [[(q.numerator, q.denominator) for q in map(Fraction, row)] for row in rows]
+
+
+def lowest_terms(num: int, den: int) -> tuple:
+    """num / den as (num, den) in lowest terms, for den >= 0; den = 0 raises ZeroDivisionError."""
+    g = gcd(num, den) if den else 0
+    return num // g, den // g
+
+
 class AntisymmetricMatrix(namedtuple("AntisymmetricMatrix", "entries")):
     """Square rational matrix with z_ij = -z_ji and zero diagonal, its rows
-    in `entries`. `from_rows` is the checked constructor."""
+    of Fractions in `entries`. `from_rows` is the checked constructor."""
 
     __slots__ = ()
 
@@ -38,22 +50,25 @@ class AntisymmetricMatrix(namedtuple("AntisymmetricMatrix", "entries")):
 
     @classmethod
     def from_rows(cls, rows) -> "AntisymmetricMatrix":
-        """Validate and freeze; names the first offending entry on failure."""
-        data = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows)
-        k = len(data)
-        for i, row in enumerate(data):
-            if len(row) != k:
-                raise ValueError(f"row {i + 1} has {len(row)} entries, expected {k}")
-        for i, row in enumerate(data):
-            if row[i]:
-                raise ValueError(f"entry ({i + 1},{i + 1}) must be zero on the diagonal")
-            for j in range(i + 1, k):
-                a, b = row[j], data[j][i]
-                if a.numerator != -b.numerator or a.denominator != b.denominator:
-                    raise ValueError(
-                        f"entry ({j + 1},{i + 1}) is not the negative of ({i + 1},{j + 1})"
-                    )
+        """Validate with `check_antisymmetric` and freeze."""
+        data = tuple(tuple(map(Fraction, row)) for row in rows)
+        check_antisymmetric(_ratios(data))
         return cls(data)
+
+
+def check_antisymmetric(rows) -> None:
+    """Raises ValueError at the first row of the wrong length, else at the first
+    bad entry in row order. The entries are (num, den) pairs in lowest terms."""
+    k = len(rows)
+    for i, row in enumerate(rows):
+        if len(row) != k:
+            raise ValueError(f"row {i + 1} has {len(row)} entries, expected {k}")
+    for i, row in enumerate(rows):
+        if row[i][0]:
+            raise ValueError(f"entry ({i + 1},{i + 1}) must be zero on the diagonal")
+        for j in range(i + 1, k):
+            if rows[j][i] != (-row[j][0], row[j][1]):
+                raise ValueError(f"entry ({j + 1},{i + 1}) is not the negative of ({i + 1},{j + 1})")
 
 
 def _exact_quotients(row: list, den: int) -> list:
@@ -67,8 +82,8 @@ def _exact_quotients(row: list, den: int) -> list:
     return out
 
 
-def pfaffian(z: AntisymmetricMatrix) -> Fraction:
-    """Pfaffian by fraction-free skew elimination, O(k^3), exact.
+def pfaffian_ratio(rows) -> tuple:
+    """Pfaffian, as (num, den), by fraction-free skew elimination, O(k^3), exact.
 
     The matrix is scaled to integers by D, the lcm of its denominators;
     only the entries above the diagonal are kept. Each step takes the
@@ -81,19 +96,18 @@ def pfaffian(z: AntisymmetricMatrix) -> Fraction:
     The last pivot, signed, is Pf(D z) = D^(k/2) Pf(z).
 
     Size 0 gives 1; odd sizes give 0. Agrees with the signed
-    perfect-matching sum, and pfaffian(z)**2 = det(z).
+    perfect-matching sum, and Pf^2 = det.
     """
-    k = z.size
+    k = len(rows)
     if k % 2:
-        return Fraction(0)
-    scale = lcm(*(q.denominator for row in z.entries for q in row))
-    m = [[q.numerator * (scale // q.denominator) for q in row[i + 1:]]
-         for i, row in enumerate(z.entries)]
+        return 0, 1
+    scale = lcm(*(d for row in rows for _, d in row))
+    m = [[n * (scale // d) for n, d in row[i + 1:]] for i, row in enumerate(rows)]
     sign, prev = 1, 1
     while m:
         p = next((j for j, x in enumerate(m[0]) if x), None)
         if p is None:
-            return Fraction(0)
+            return 0, 1
         q, pivot, sign = p + 1, m[0][p], sign * (-1) ** p
         # the other indices i, in order: a_0i, a_iq, and row i without column q
         a0 = m[0][:p] + m[0][q:]
@@ -104,30 +118,29 @@ def pfaffian(z: AntisymmetricMatrix) -> Fraction:
             nums = [pivot * x - iaq * y + ia0 * w for x, y, w in zip(row, a0[a + 1:], aq[a + 1:])]
             m.append(_exact_quotients(nums, prev))
         prev = pivot
-    return Fraction(sign * prev, scale ** (k // 2))
+    return lowest_terms(sign * prev, scale ** (k // 2))
 
 
-def determinant(rows) -> Fraction:
-    """Exact determinant of a square rational matrix, O(k^3).
+def determinant_ratio(rows) -> tuple:
+    """Determinant of rows of (num, den) pairs, as (num, den), O(k^3), exact.
 
     Fraction-free Bareiss elimination on the matrix with each row scaled
     to integers by the lcm of its own denominators: with row swaps for a
     nonzero pivot, a'_rj = (p a_rj - a_rc a_cj) / p_prev is a minor of the
     scaled matrix, so each division is exact, and checked. The last pivot,
     signed, is det(rows) times the product of the row scales. Neither the
-    scaling nor the elimination is shared with `pfaffian`, so Pf^2 = det
-    is a real check.
+    scaling nor the elimination is shared with `pfaffian_ratio`, so
+    Pf^2 = det is a real check.
     """
-    m = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
-    if any(len(row) != len(m) for row in m):
+    if any(len(row) != len(rows) for row in rows):
         raise ValueError("determinant needs a square matrix")
-    scales = [lcm(*(q.denominator for q in row)) for row in m]
-    m = [[q.numerator * (s // q.denominator) for q in row] for row, s in zip(m, scales)]
+    scales = [lcm(*(d for _, d in row)) for row in rows]
+    m = [[n * (s // d) for n, d in row] for row, s in zip(rows, scales)]
     sign, prev = 1, 1
     while m:
         p = next((r for r, row in enumerate(m) if row[0]), None)
         if p is None:
-            return Fraction(0)
+            return 0, 1
         if p:
             m[0], m[p] = m[p], m[0]
             sign = -sign
@@ -135,7 +148,17 @@ def determinant(rows) -> Fraction:
         for f, *row in rows:
             m.append(_exact_quotients([pivot * x - f * t for x, t in zip(row, top)], prev))
         prev = pivot
-    return Fraction(sign * prev, prod(scales))
+    return lowest_terms(sign * prev, prod(scales))
+
+
+def pfaffian(z: AntisymmetricMatrix) -> Fraction:
+    """Pf(z), by `pfaffian_ratio`."""
+    return Fraction(*pfaffian_ratio(_ratios(z.entries)))
+
+
+def determinant(rows) -> Fraction:
+    """Exact determinant of a square matrix of rationals, by `determinant_ratio`."""
+    return Fraction(*determinant_ratio(_ratios(rows)))
 
 
 class PfaffianClassification(

@@ -401,6 +401,69 @@ def test_pfaffian_eval_bad_file(tmp_path, capsys):
     assert err.startswith("error: ") and "utf-8" in err
 
 
+def test_pfaffian_eval_builds_no_fraction(tmp_path, capsys, spy):
+    # integer and a/b entries go from the file to the answer as int pairs,
+    # in JSON and in text; only a decimal entry is read by Fraction
+    files = {
+        "int.txt": ("4\n0 2 3 5\n-2 0 7 11\n-3 -7 0 13\n-5 -11 -13 0\n", "28", "784"),
+        "ratio.txt": ("4\n0 2/4 3 +5\n-1/2 0 7/1 11\n-3 -14/2 0 13\n-5 -11 -13 -0\n", "17/2", "289/4"),
+        "odd.txt": ("3\n0 1/3 -2\n-1/3 0 5/6\n2 -5/6 0\n", "0", "0"),
+        "empty.txt": ("0\n", "1", "1"),
+    }
+    spy(Fraction, "__new__")
+    for name, (text, pf, det) in files.items():
+        f = tmp_path / name
+        f.write_text(text)
+        spy.calls.clear()
+        out = run(capsys, "pfaffian", "eval", str(f))
+        code, doc = run_json(capsys, "pfaffian", "eval", str(f), "--json")
+        assert spy.calls == [], name
+        assert out == (0, f"Pf  = {pf}\ndet = {det}\nPf^2 == det: yes\n", ""), name
+        want = {key: {"num": str(q.numerator), "den": str(q.denominator)}
+                for key, q in (("pfaffian", Fraction(pf)), ("determinant", Fraction(det)))}
+        assert (code, doc["result"]) == (0, {**want, "square_check": True}), name
+    spy.calls.clear()
+    f.write_text("2\n0 1.5\n-3/2 0\n")
+    assert run(capsys, "pfaffian", "eval", str(f)) == (0, "Pf  = 3/2\ndet = 9/4\nPf^2 == det: yes\n", "")
+    assert "__new__" in spy.calls
+
+
+def test_pfaffian_eval_negative_size(tmp_path, capsys):
+    # a negative size is named as such, before any entry is read
+    f = tmp_path / "z.txt"
+    for text in ("-1\n0\n", "-2\n0 1 -1 0\n", "-1\nx\n", "-3\n"):
+        f.write_text(text)
+        size = text.split()[0]
+        assert run(capsys, "pfaffian", "eval", str(f)) == (
+            2, "", f"error: negative matrix size {size}\n"), text
+    f.write_text("-0\n")  # the empty matrix
+    assert run(capsys, "pfaffian", "eval", str(f)) == (0, "Pf  = 1\ndet = 1\nPf^2 == det: yes\n", "")
+
+
+def _envelope(parameters, result) -> dict:
+    return {"command": "pfaffian.eval", "parameters": parameters, "result": result,
+            "engine_version": cli_module.__version__, "exact": True}
+
+
+def test_json_line_is_json_dumps(tmp_path, capsys):
+    # the one encoder writes the bytes of json.dumps with the canonical options
+    names = ["z.txt", "matrice \u00e9\u2713.txt", 'a "quoted" name', "back\\slash\\", "\U0001F600 tab\t"]
+    for name in names:
+        params = {"file": name, "size": 2, "\u00fc": [name, None, 2.5, -0]}
+        result = {"pfaffian": {"num": "-3", "den": "2"}, "square_check": True, "nested": {"b": [], "a": {}}}
+        want = json.dumps(_envelope(params, result), sort_keys=True, separators=(",", ":")) + "\n"
+        assert cli_module.json_line("pfaffian.eval", params, result) == want, name
+    # and on whole answers, from files so named
+    result = {"pfaffian": {"num": "-3", "den": "2"}, "determinant": {"num": "9", "den": "4"},
+              "square_check": True}
+    for name in names:
+        f = tmp_path / name
+        f.write_text("2\n0 -3/2\n3/2 0\n")
+        want = _envelope({"file": str(f), "size": 2}, result)
+        assert run(capsys, "pfaffian", "eval", str(f), "--json") == (
+            0, json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n", ""), name
+
+
 @contextlib.contextmanager
 def every_digit():
     """No bound on int -> str in the body, where the interpreter has one."""

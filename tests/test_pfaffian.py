@@ -2,7 +2,7 @@
 complete-intersection / Roberts classification of the Pfaffian rings."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -13,7 +13,13 @@ from grasstodd import (
     determinant,
     pfaffian,
 )
-from grasstodd.pfaffian import _exact_quotients
+from grasstodd.pfaffian import (
+    _exact_quotients,
+    check_antisymmetric,
+    determinant_ratio,
+    lowest_terms,
+    pfaffian_ratio,
+)
 from oracles import (
     exact_determinant,
     expansion_pfaffian,
@@ -210,3 +216,69 @@ def test_inexact_division_raises():
     assert _exact_quotients([], 3) == []
     with pytest.raises(ArithmeticError, match="^fraction-free elimination: 4 does not divide 6$"):
         _exact_quotients([-12, 6, 8, 7], 4)
+
+
+def _pairs(rows) -> list:
+    return [[(q.numerator, q.denominator) for q in row] for row in rows]
+
+
+def _in_lowest_terms(ratio) -> bool:
+    num, den = ratio
+    return den > 0 and gcd(num, den) == 1
+
+
+def test_integer_cores_match_the_fraction_views_and_oracles(rng):
+    # sizes 0..12, odd ones included, with zero shares 0, 0.5 and 0.8; a zero
+    # a_01 forces the Pfaffian's pivot swap, and a_00 = 0 always forces
+    # Bareiss's row swap
+    for size in range(0, 13):
+        for n in range(6):
+            rows = random_antisymmetric(rng, size, zero_share=(0.0, 0.5, 0.8)[n % 3])
+            if size > 1 and n == 3:
+                rows[0][1] = rows[1][0] = Fraction(0)
+            pairs = _pairs(rows)
+            check_antisymmetric(pairs)
+            pf, det = pfaffian_ratio(pairs), determinant_ratio(pairs)
+            assert _in_lowest_terms(pf) and _in_lowest_terms(det), rows
+            assert Fraction(*pf) == pfaffian(AntisymmetricMatrix.from_rows(rows)), rows
+            assert Fraction(*det) == determinant(rows) == exact_determinant(rows), rows
+            if size <= 8:
+                assert Fraction(*pf) == matching_sum_pfaffian(rows), rows
+            assert pf[0] ** 2 * det[1] == det[0] * pf[1] ** 2
+    # square matrices that are not antisymmetric, singular ones among them
+    for size in range(0, 9):
+        for n in range(6):
+            rows = _random_square(rng, size, (0.0, 0.5, 0.8)[n % 3])
+            if size and n == 3:
+                rows[0][0] = Fraction(0)
+            det = determinant_ratio(_pairs(rows))
+            assert _in_lowest_terms(det) and Fraction(*det) == exact_determinant(rows), rows
+
+
+def test_cores_and_views_share_one_validator():
+    # from_rows raises check_antisymmetric's message, first fault first
+    cases = [
+        [[0, 1], [-1]],
+        [[0, 1, 2], [-1, 5, 7], [-2, 3, 4]],
+        [[0, 1, 2], [-1, 0, 7], [-2, 3, 0]],
+        [[0, Fraction(1, 2)], [Fraction(-1, 3), 0]],
+    ]
+    for rows in cases:
+        with pytest.raises(ValueError) as core:
+            check_antisymmetric(_pairs([[Fraction(x) for x in row] for row in rows]))
+        with pytest.raises(ValueError) as view:
+            AntisymmetricMatrix.from_rows(rows)
+        assert str(view.value) == str(core.value), rows
+    with pytest.raises(ValueError, match="^determinant needs a square matrix$"):
+        determinant_ratio([[(1, 1), (2, 1)]])
+
+
+def test_lowest_terms():
+    assert lowest_terms(6, 4) == (3, 2)
+    assert lowest_terms(-6, 4) == (-3, 2)
+    assert lowest_terms(0, 7) == (0, 1)
+    assert lowest_terms(5, 1) == (5, 1)
+    with pytest.raises(ZeroDivisionError):
+        lowest_terms(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        lowest_terms(0, 0)
